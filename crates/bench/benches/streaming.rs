@@ -6,6 +6,9 @@
 //! the event-driven refactor targets. The dominant per-event cost is
 //! the between-cycle fill-only advice pass, so events/sec here is a
 //! controller-in-the-loop number, not a bare queue microbenchmark.
+//! Within that pass, water-filling (scoring the incumbent and the few
+//! real candidates) dominates: the optimizer's node loop skips nodes
+//! where no open application fits without cloning the placement.
 //!
 //! Besides the criterion table (stderr), the bench writes
 //! `BENCH_streaming.json` at the workspace root — machine-readable

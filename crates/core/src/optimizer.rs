@@ -22,11 +22,14 @@
 //! ([`ApcConfig::disruption_threshold`]) — this realizes the paper's
 //! "minimize placement changes" heuristic.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use dynaplace_model::app::ApplicationSpec;
 use dynaplace_model::delta::PlacementAction;
 use dynaplace_model::ids::{AppId, NodeId};
 use dynaplace_model::placement::Placement;
+use dynaplace_model::resources::Resources;
 use dynaplace_rpf::satisfaction::SatisfactionVector;
 use dynaplace_rpf::value::Rp;
 use dynaplace_trace::{CacheCounters, NoopSink, OptimizeMode, TraceEvent, TraceLevel, TraceSink};
@@ -657,6 +660,11 @@ pub(crate) fn optimize_scoped(
         scope,
     );
 
+    // Fill order, open applications, and the node→residents index only
+    // change when a candidate is adopted, so they are rebuilt then, not
+    // on every node visit.
+    let mut incumbent = Incumbent::new(problem, config, &current, &best, scope);
+
     'sweeps: for sweep in 0..config.max_sweeps {
         stats.sweeps += 1;
         let mut improved_any = false;
@@ -674,7 +682,7 @@ pub(crate) fn optimize_scoped(
                 break 'sweeps;
             }
             // Most-satisfied-first removal order for this node's residents.
-            let residents = removal_order(&best, &current, node, scope);
+            let residents = removal_order(&best, incumbent.residents_on(node), scope);
             let max_removals = if allow_removals { residents.len() } else { 0 };
             if sink.wants(TraceLevel::Verbose) {
                 sink.record(&TraceEvent::NodeEnter {
@@ -684,30 +692,33 @@ pub(crate) fn optimize_scoped(
                     residents: residents.len(),
                 });
             }
-            // Lowest relative performance first fill order, from the
-            // incumbent score (queued and struggling applications first).
-            // Out-of-scope applications are frozen in place, never refilled.
-            let fill_order: Vec<AppId> = best
-                .satisfaction
-                .entries()
-                .iter()
-                .map(|&(app, _)| app)
-                .filter(|&app| scope.allows_move(app))
-                .collect();
 
             // Intermediate loop: build every candidate for this node
             // first (k instances removed, then greedily refilled), …
             let mut candidates: Vec<Placement> = Vec::with_capacity(max_removals + 1);
             for k in 0..=max_removals {
+                // With nothing removed, the fill changes the placement
+                // only if some open application fits the node as it
+                // stands; otherwise the candidate would equal `current`
+                // and be discarded unscored below, so skip the clone.
+                if k == 0 && !incumbent.fill_starts_on(problem, node) {
+                    continue;
+                }
                 let mut candidate = current.clone();
-                let mut removed: Vec<AppId> = Vec::with_capacity(k);
                 for &app in &residents[..k] {
                     candidate
                         .remove(app, node)
                         .expect("resident instance exists");
-                    removed.push(app);
                 }
-                fill_node(problem, &mut candidate, node, &removed, &fill_order, config);
+                fill_node(
+                    problem,
+                    &mut candidate,
+                    node,
+                    &residents[..k],
+                    incumbent.residents_on(node),
+                    &incumbent.fill_order,
+                    config,
+                );
                 if candidate == current {
                     continue;
                 }
@@ -826,6 +837,7 @@ pub(crate) fn optimize_scoped(
                 }
                 current = candidate;
                 best = score;
+                incumbent = Incumbent::new(problem, config, &current, &best, scope);
                 stats.adoptions += 1;
                 improved_any = true;
             }
@@ -883,7 +895,7 @@ pub(crate) fn optimize_scoped(
 /// capacity is below its maximum useful demand, one instance at a time on
 /// the node with the most free memory, stopping as soon as an addition
 /// would make the satisfaction vector strictly worse. Feasibility is
-/// judged across every rigid dimension (via `checked_place`); the
+/// judged across every rigid dimension (via `check_place`); the
 /// ranking key stays free *memory* so memory-only problems pick the
 /// same node the pre-vector optimizer picked.
 ///
@@ -954,9 +966,8 @@ fn expand_transactional(
                 if !problem.allows_node(app, node) {
                     continue; // pinned away or quarantined
                 }
-                let mut trial = current.clone();
-                if trial
-                    .checked_place(app, node, problem.cluster, problem.apps)
+                if current
+                    .check_place(app, node, problem.cluster, problem.apps)
                     .is_err()
                 {
                     continue;
@@ -978,9 +989,7 @@ fn expand_transactional(
             }
             let Some((node, _)) = target else { break };
             let mut candidate = current.clone();
-            candidate
-                .checked_place(app, node, problem.cluster, problem.apps)
-                .expect("checked above");
+            candidate.place(app, node); // admitted by `check_place` above
             let Some(score) = score_one(problem, config, cache, &candidate) else {
                 break;
             };
@@ -1015,18 +1024,105 @@ fn expand_transactional(
     false
 }
 
-/// The instances on `node`, one entry per instance, ordered so that the
-/// most satisfied applications are removed first (they can best afford
-/// the disruption). Out-of-scope applications are never removal
-/// candidates.
+/// What the node loop reads from the incumbent (`current` and its score),
+/// rebuilt when a candidate is adopted rather than on every node visit.
+struct Incumbent<'p> {
+    /// Lowest relative performance first fill order, from the incumbent
+    /// score (queued and struggling applications first). Out-of-scope
+    /// applications are frozen in place, never refilled.
+    fill_order: Vec<AppId>,
+    /// The applications a fill that removes nothing may start: those
+    /// among the first [`ApcConfig::max_fill_candidates`] of `fill_order`
+    /// that are registered and still below their instance limit.
+    open: Vec<(AppId, &'p ApplicationSpec)>,
+    /// Each node's instances, ascending `AppId` (the order
+    /// [`Placement::apps_on`] yields), without scanning the placement.
+    residents: BTreeMap<NodeId, Vec<(AppId, u32)>>,
+}
+
+impl<'p> Incumbent<'p> {
+    fn new(
+        problem: &PlacementProblem<'p>,
+        config: &ApcConfig,
+        current: &Placement,
+        best: &PlacementScore,
+        scope: SearchScope<'_>,
+    ) -> Self {
+        let fill_order = best
+            .satisfaction
+            .entries()
+            .iter()
+            .map(|&(app, _)| app)
+            .filter(|&app| scope.allows_move(app))
+            .collect();
+        Self::from_fill_order(problem, config, current, fill_order)
+    }
+
+    fn from_fill_order(
+        problem: &PlacementProblem<'p>,
+        config: &ApcConfig,
+        current: &Placement,
+        fill_order: Vec<AppId>,
+    ) -> Self {
+        let open = fill_order
+            .iter()
+            .take(config.max_fill_candidates)
+            .filter_map(|&app| {
+                let spec = problem.apps.get(app).ok()?;
+                (current.total_instances(app) < spec.max_instances()).then_some((app, spec))
+            })
+            .collect();
+        let mut residents: BTreeMap<NodeId, Vec<(AppId, u32)>> = BTreeMap::new();
+        // Cells iterate in (app, node) order, so each node's list comes
+        // out in ascending AppId order.
+        for (app, node, count) in current.iter() {
+            residents.entry(node).or_default().push((app, count));
+        }
+        Self {
+            fill_order,
+            open,
+            residents,
+        }
+    }
+
+    fn residents_on(&self, node: NodeId) -> &[(AppId, u32)] {
+        self.residents.get(&node).map_or(&[], Vec::as_slice)
+    }
+
+    /// Whether [`fill_node`] with nothing removed would start an instance
+    /// on `node`. It starts one exactly when some open application is
+    /// admitted beside the node's residents as they stand: nothing
+    /// changes on the node before the first start, and every open
+    /// application is tried.
+    fn fill_starts_on(&self, problem: &PlacementProblem<'_>, node: NodeId) -> bool {
+        let Ok(node_spec) = problem.cluster.node(node) else {
+            return false;
+        };
+        let residents = self.residents_on(node);
+        self.open.iter().any(|&(app, spec)| {
+            admits(
+                problem,
+                app,
+                spec,
+                node,
+                node_spec.rigid_capacity(),
+                residents,
+            )
+        })
+    }
+}
+
+/// The instances among `residents` (one node's, ascending `AppId`), one
+/// entry per instance, ordered so that the most satisfied applications
+/// are removed first (they can best afford the disruption).
+/// Out-of-scope applications are never removal candidates.
 fn removal_order(
     best: &PlacementScore,
-    placement: &Placement,
-    node: NodeId,
+    residents: &[(AppId, u32)],
     scope: SearchScope<'_>,
 ) -> Vec<AppId> {
     let mut perf: Vec<(AppId, Rp)> = Vec::new();
-    for (app, count) in placement.apps_on(node) {
+    for &(app, count) in residents {
         if !scope.allows_move(app) {
             continue;
         }
@@ -1045,37 +1141,77 @@ fn removal_order(
     perf.into_iter().map(|(app, _)| app).collect()
 }
 
+/// Whether one more instance of `app` may start on `node` beside
+/// `residents` (the node's instances, ascending `AppId`): pinning, the
+/// quarantine list, anti-affinity, and every rigid dimension. The
+/// instance limit is left to the caller. This is the one admission
+/// predicate both [`fill_node`] and [`Incumbent::fill_starts_on`] apply.
+///
+/// It replicates [`Placement::check_place`] without its scans of every
+/// placement cell: the same predicates, and each rigid dimension's usage
+/// accumulates over residents in the ascending-`AppId` order
+/// [`Placement::rigid_used`] uses, so every accept/reject decision
+/// (including any floating-point boundary case) is identical. With a
+/// memory-only registry the dimension loop degenerates to the single
+/// scalar accumulation of the pre-vector optimizer, bit for bit.
+fn admits(
+    problem: &PlacementProblem<'_>,
+    app: AppId,
+    spec: &ApplicationSpec,
+    node: NodeId,
+    node_rigid: &Resources,
+    residents: &[(AppId, u32)],
+) -> bool {
+    if !spec.allows_node(node) || problem.forbidden.contains(&(app, node)) {
+        return false;
+    }
+    for &(other, _) in residents {
+        match problem.apps.get(other) {
+            Ok(other_spec) if other == app || spec.may_share_node_with(other_spec) => {}
+            _ => return false,
+        }
+    }
+    // Dimension 0 = memory; `dims` is 1 in the paper's model.
+    let dims = problem.cluster.dims().len().max(node_rigid.len());
+    let demand = spec.rigid_per_instance();
+    !(0..dims).any(|d| {
+        let used = residents.iter().fold(0.0, |used, &(other, count)| {
+            let per_instance = problem.apps.get(other).expect("checked above");
+            used + per_instance.rigid_per_instance().get(d) * f64::from(count)
+        });
+        used + demand.get(d) > node_rigid.get(d)
+    })
+}
+
 /// The inner loop: greedily starts instances on `node` in lowest relative
 /// performance first order, as constraints permit. Applications removed
-/// by the current candidate's intermediate loop are not re-added.
-///
-/// Feasibility is checked against a per-node resident index maintained
-/// across the fill instead of through [`Placement::checked_place`], whose
-/// anti-affinity and rigid-capacity scans each walk every placement cell;
-/// the checks below replicate `checked_place` exactly — same predicates,
-/// and each rigid dimension's usage sum accumulates over residents in the
-/// same ascending-`AppId` order `rigid_used` uses, so every accept/reject
-/// decision (including any floating-point boundary case) is identical.
-/// With a memory-only registry the dimension loop degenerates to the
-/// single scalar accumulation of the pre-vector optimizer, bit for bit.
+/// by the current candidate's intermediate loop (`removed`, already taken
+/// off `candidate`) are not re-added. `residents` are the node's
+/// instances before those removals, ascending `AppId`; the fill keeps
+/// its own copy up to date as it starts instances, and checks each start
+/// with [`admits`].
 fn fill_node(
     problem: &PlacementProblem<'_>,
     candidate: &mut Placement,
     node: NodeId,
     removed: &[AppId],
+    residents: &[(AppId, u32)],
     fill_order: &[AppId],
     config: &ApcConfig,
 ) {
     let Ok(node_spec) = problem.cluster.node(node) else {
         return;
     };
-    let node_rigid = node_spec.rigid_capacity();
-    let dims = problem.cluster.dims().len().max(node_rigid.len());
-    // Rigid usage scratch, reused across fill attempts (dimension 0 =
-    // memory; `dims` is 1 in the paper's model).
-    let mut used = vec![0.0f64; dims];
-    // Residents of `node`, ascending AppId (the order `apps_on` yields).
-    let mut residents: Vec<(AppId, u32)> = candidate.apps_on(node).collect();
+    let mut residents = residents.to_vec();
+    for app in removed {
+        let i = residents
+            .binary_search_by_key(app, |&(a, _)| a)
+            .expect("removed instance was resident");
+        residents[i].1 -= 1;
+        if residents[i].1 == 0 {
+            residents.remove(i);
+        }
+    }
     let mut tried = 0;
     for &app in fill_order {
         if tried >= config.max_fill_candidates {
@@ -1089,34 +1225,15 @@ fn fill_node(
         let Ok(spec) = problem.apps.get(app) else {
             continue;
         };
-        if !spec.allows_node(node) || problem.forbidden.contains(&(app, node)) {
-            continue;
-        }
-        if candidate.total_instances(app) >= spec.max_instances() {
-            continue;
-        }
-        used.iter_mut().for_each(|u| *u = 0.0);
-        let mut rejected = false;
-        for &(other, count) in &residents {
-            let Ok(other_spec) = problem.apps.get(other) else {
-                rejected = true;
-                break;
-            };
-            if other != app && !spec.may_share_node_with(other_spec) {
-                rejected = true;
-                break;
-            }
-            let other_rigid = other_spec.rigid_per_instance();
-            for (d, u) in used.iter_mut().enumerate() {
-                *u += other_rigid.get(d) * f64::from(count);
-            }
-        }
-        let demand = spec.rigid_per_instance();
-        if rejected
-            || used
-                .iter()
-                .enumerate()
-                .any(|(d, &u)| u + demand.get(d) > node_rigid.get(d))
+        if candidate.total_instances(app) >= spec.max_instances()
+            || !admits(
+                problem,
+                app,
+                spec,
+                node,
+                node_spec.rigid_capacity(),
+                &residents,
+            )
         {
             continue;
         }
@@ -1124,6 +1241,231 @@ fn fill_node(
         match residents.binary_search_by_key(&app, |&(a, _)| a) {
             Ok(i) => residents[i].1 += 1,
             Err(i) => residents.insert(i, (app, 1)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeSet;
+
+    use dynaplace_model::prelude::*;
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// One application: memory (MB), license slots per instance, node it
+    /// is pinned to, anti-affinity group, instance limit (1 = batch job),
+    /// and the nodes its instances are started on, in order.
+    type AppParams = (f64, u32, Option<u32>, Option<u32>, u32, Vec<u32>);
+
+    /// Nodes as (memory MB, license slots), apps, forbidden
+    /// (app, node) index pairs, a fill-order sort key per app, and
+    /// `max_fill_candidates`.
+    type WorldParams = (
+        Vec<(f64, u32)>,
+        Vec<AppParams>,
+        Vec<(u32, u32)>,
+        Vec<u32>,
+        usize,
+    );
+
+    struct World {
+        cluster: Cluster,
+        apps: AppSet,
+        current: Placement,
+        forbidden: BTreeSet<(AppId, NodeId)>,
+        fill_order: Vec<AppId>,
+        config: ApcConfig,
+    }
+
+    impl World {
+        fn problem(&self) -> PlacementProblem<'_> {
+            PlacementProblem {
+                cluster: &self.cluster,
+                apps: &self.apps,
+                workloads: BTreeMap::new(),
+                current: &self.current,
+                now: SimTime::ZERO,
+                cycle: SimDuration::from_secs(60.0),
+                forbidden: self.forbidden.clone(),
+            }
+        }
+
+        fn incumbent(&self) -> Incumbent<'_> {
+            Incumbent::from_fill_order(
+                &self.problem(),
+                &self.config,
+                &self.current,
+                self.fill_order.clone(),
+            )
+        }
+    }
+
+    fn arb_world() -> impl Strategy<Value = WorldParams> {
+        let node = (300.0..3_000.0f64, 0u32..3);
+        let app = (
+            50.0..1_200.0f64,
+            0u32..2,
+            proptest::option::of(0u32..8),
+            proptest::option::of(0u32..2),
+            1u32..4,
+            proptest::collection::vec(0u32..8, 0..4),
+        );
+        (
+            proptest::collection::vec(node, 1..8),
+            proptest::collection::vec(app, 1..12),
+            proptest::collection::vec((0u32..12, 0u32..8), 0..4),
+            proptest::collection::vec(0u32..1_000, 12),
+            1usize..8,
+        )
+    }
+
+    /// Builds a valid world: every instance of `current` is started with
+    /// `checked_place`, so stacked nodes, anti-affinity neighbours, and
+    /// applications at their instance limit all occur.
+    fn build((nodes, app_params, forbidden, keys, max_fill): WorldParams) -> World {
+        let mut cluster =
+            Cluster::new().with_dims(ResourceDims::with_extra(["license_slots"]).unwrap());
+        for &(memory, slots) in &nodes {
+            cluster.add_node(
+                NodeSpec::try_with_resources(
+                    CpuSpeed::from_mhz(1_000.0),
+                    Resources::new(vec![memory, f64::from(slots)]),
+                )
+                .unwrap(),
+            );
+        }
+        let node = |i: u32| NodeId::new(i % nodes.len() as u32);
+        let mut apps = AppSet::new();
+        let mut current = Placement::new();
+        for (memory, slots, pinned, group, max_instances, starts) in &app_params {
+            let mut spec = if *max_instances == 1 {
+                ApplicationSpec::batch(Memory::from_mb(*memory), CpuSpeed::from_mhz(500.0))
+            } else {
+                ApplicationSpec::transactional(
+                    Memory::from_mb(*memory),
+                    CpuSpeed::from_mhz(500.0),
+                    *max_instances,
+                )
+            };
+            if *slots > 0 {
+                spec = spec.with_extra_rigid_demand([f64::from(*slots)]);
+            }
+            if let Some(n) = pinned {
+                spec = spec.with_allowed_nodes([node(*n)]);
+            }
+            if let Some(g) = group {
+                spec = spec.with_anti_affinity(AntiAffinityGroup(*g));
+            }
+            let app = apps.add(spec);
+            for &n in starts {
+                let _ = current.checked_place(app, node(n), &cluster, &apps);
+            }
+        }
+        let app_count = app_params.len() as u32;
+        let forbidden = forbidden
+            .iter()
+            .map(|&(a, n)| (AppId::new(a % app_count), node(n)))
+            .collect();
+        let mut fill_order: Vec<AppId> = (0..app_count).map(AppId::new).collect();
+        fill_order.sort_by_key(|app| (keys[app.index()], *app));
+        World {
+            cluster,
+            apps,
+            current,
+            forbidden,
+            fill_order,
+            config: ApcConfig::builder()
+                .max_fill_candidates(max_fill)
+                .build()
+                .unwrap(),
+        }
+    }
+
+    /// The fill as `Placement::check_place` defines it, scanning the
+    /// placement for every check: the reference [`fill_node`] must match.
+    fn reference_fill(world: &World, candidate: &mut Placement, node: NodeId, removed: &[AppId]) {
+        let mut tried = 0;
+        for &app in &world.fill_order {
+            if tried >= world.config.max_fill_candidates {
+                break;
+            }
+            if removed.contains(&app) {
+                continue;
+            }
+            tried += 1;
+            if world.forbidden.contains(&(app, node)) {
+                continue;
+            }
+            let _ = candidate.checked_place(app, node, &world.cluster, &world.apps);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The skip reports "nothing fits" on a node exactly when a fill
+        /// that removes nothing leaves the placement unchanged.
+        #[test]
+        fn fill_starts_on_matches_fill_node(params in arb_world()) {
+            let world = build(params);
+            let problem = world.problem();
+            let incumbent = world.incumbent();
+            for node in world.cluster.node_ids() {
+                let mut candidate = world.current.clone();
+                fill_node(
+                    &problem,
+                    &mut candidate,
+                    node,
+                    &[],
+                    incumbent.residents_on(node),
+                    &incumbent.fill_order,
+                    &world.config,
+                );
+                prop_assert_eq!(
+                    incumbent.fill_starts_on(&problem, node),
+                    candidate != world.current,
+                    "node {}", node
+                );
+            }
+        }
+
+        /// With any number of the node's instances removed first, the
+        /// indexed fill starts exactly the instances `checked_place`
+        /// admits, in the same order.
+        #[test]
+        fn fill_node_matches_checked_place(params in arb_world()) {
+            let world = build(params);
+            let problem = world.problem();
+            let incumbent = world.incumbent();
+            for node in world.cluster.node_ids() {
+                let on_node: Vec<AppId> = incumbent
+                    .residents_on(node)
+                    .iter()
+                    .flat_map(|&(app, count)| std::iter::repeat(app).take(count as usize))
+                    .collect();
+                for k in 0..=on_node.len() {
+                    let removed = &on_node[..k];
+                    let mut base = world.current.clone();
+                    for &app in removed {
+                        base.remove(app, node).unwrap();
+                    }
+                    let mut indexed = base.clone();
+                    fill_node(
+                        &problem,
+                        &mut indexed,
+                        node,
+                        removed,
+                        incumbent.residents_on(node),
+                        &incumbent.fill_order,
+                        &world.config,
+                    );
+                    let mut reference = base;
+                    reference_fill(&world, &mut reference, node, removed);
+                    prop_assert_eq!(indexed, reference, "node {} k {}", node, k);
+                }
+            }
         }
     }
 }

@@ -53,18 +53,37 @@ impl Placement {
     }
 
     /// Adds one instance after validating every placement constraint:
-    /// registration, pinning, instance limit, anti-affinity, and every
-    /// rigid resource capacity (memory first, then the cluster's extra
-    /// dimensions).
+    /// [`Placement::check_place`] followed by [`Placement::place`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the error [`Placement::check_place`] reports; on error the
+    /// placement is unchanged.
+    pub fn checked_place(
+        &mut self,
+        app: AppId,
+        node: NodeId,
+        cluster: &Cluster,
+        apps: &AppSet,
+    ) -> Result<(), ModelError> {
+        self.check_place(app, node, cluster, apps)?;
+        self.place(app, node);
+        Ok(())
+    }
+
+    /// Checks, without changing the placement, whether one more instance
+    /// of `app` may start on `node`: registration, pinning, instance
+    /// limit, anti-affinity, and every rigid resource capacity (memory
+    /// first, then the cluster's extra dimensions).
     ///
     /// # Errors
     ///
     /// Returns the specific [`ModelError`] describing the violated
-    /// constraint; on error the placement is unchanged. Rigid dimension 0
-    /// reports [`ModelError::MemoryExceeded`], further dimensions
+    /// constraint. Rigid dimension 0 reports
+    /// [`ModelError::MemoryExceeded`], further dimensions
     /// [`ModelError::ResourceExceeded`].
-    pub fn checked_place(
-        &mut self,
+    pub fn check_place(
+        &self,
         app: AppId,
         node: NodeId,
         cluster: &Cluster,
@@ -88,13 +107,10 @@ impl Placement {
             }
         }
         let used = self.rigid_used(node, apps)?;
-        if let Some(dim) =
-            used.first_overflow(spec.rigid_per_instance(), node_spec.rigid_capacity())
-        {
-            return Err(Self::rigid_error(node, dim));
+        match used.first_overflow(spec.rigid_per_instance(), node_spec.rigid_capacity()) {
+            Some(dim) => Err(Self::rigid_error(node, dim)),
+            None => Ok(()),
         }
-        self.place(app, node);
-        Ok(())
     }
 
     /// Maps an exceeded rigid dimension to its error variant (memory
@@ -148,10 +164,13 @@ impl Placement {
             .map(|(&(_, node), &count)| (node, count))
     }
 
-    /// Iterates over the applications on `node`, with instance counts.
+    /// Iterates over the applications on `node`, in ascending [`AppId`]
+    /// order, with instance counts.
     ///
-    /// This scans all cells; callers on hot paths should maintain their own
-    /// per-node index.
+    /// This scans all cells. Callers on hot paths should keep their own
+    /// per-node index, as the placement optimizer's node loop does: it
+    /// builds a node→residents index once per adopted candidate instead
+    /// of calling this for every node.
     pub fn apps_on(&self, node: NodeId) -> impl Iterator<Item = (AppId, u32)> + '_ {
         self.cells
             .iter()
@@ -504,6 +523,94 @@ mod tests {
             p.validate(&cluster, &apps2),
             Err(ModelError::ResourceExceeded { node: n1, dim: 1 })
         );
+    }
+
+    #[test]
+    fn check_place_and_checked_place_agree_on_every_error() {
+        use crate::resources::{ResourceDims, Resources};
+        // n0 has one license slot, n1 none; both have 1 GB of memory.
+        let mut cluster =
+            Cluster::new().with_dims(ResourceDims::with_extra(["license_slots"]).unwrap());
+        let n0 = cluster.add_node(
+            NodeSpec::try_with_resources(
+                CpuSpeed::from_mhz(1_000.0),
+                Resources::new(vec![1_000.0, 1.0]),
+            )
+            .unwrap(),
+        );
+        let n1 = cluster.add_node(
+            NodeSpec::try_with_resources(
+                CpuSpeed::from_mhz(1_000.0),
+                Resources::new(vec![1_000.0]),
+            )
+            .unwrap(),
+        );
+        let batch =
+            |mb: f64| ApplicationSpec::batch(Memory::from_mb(mb), CpuSpeed::from_mhz(100.0));
+        let g = AntiAffinityGroup(7);
+        let mut apps = AppSet::new();
+        let big = apps.add(batch(800.0));
+        let small = apps.add(batch(300.0));
+        let pinned = apps.add(batch(10.0).with_allowed_nodes([n1]));
+        let guard_a = apps.add(batch(10.0).with_anti_affinity(g));
+        let guard_b = apps.add(batch(10.0).with_anti_affinity(g));
+        let licensed = apps.add(batch(10.0).with_extra_rigid_demand([1.0]));
+        let mut p = Placement::new();
+        p.place(big, n0);
+        p.place(guard_a, n0);
+
+        let cases = [
+            (
+                AppId::new(99),
+                n0,
+                Err(ModelError::UnknownApp(AppId::new(99))),
+            ),
+            (
+                small,
+                NodeId::new(9),
+                Err(ModelError::UnknownNode(NodeId::new(9))),
+            ),
+            (
+                pinned,
+                n0,
+                Err(ModelError::PinningViolated {
+                    app: pinned,
+                    node: n0,
+                }),
+            ),
+            (big, n1, Err(ModelError::MaxInstancesExceeded { app: big })),
+            (
+                guard_b,
+                n0,
+                Err(ModelError::AntiAffinityViolated {
+                    app: guard_b,
+                    other: guard_a,
+                    node: n0,
+                }),
+            ),
+            // 800 + 10 + 300 MB > 1000 MB.
+            (small, n0, Err(ModelError::MemoryExceeded { node: n0 })),
+            // n1 supplies no license slots.
+            (
+                licensed,
+                n1,
+                Err(ModelError::ResourceExceeded { node: n1, dim: 1 }),
+            ),
+            (small, n1, Ok(())),
+        ];
+        for (app, node, expected) in cases {
+            let before = p.clone();
+            assert_eq!(p.check_place(app, node, &cluster, &apps), expected);
+            assert_eq!(p, before, "check_place never changes the placement");
+            let mut placed = p.clone();
+            assert_eq!(placed.checked_place(app, node, &cluster, &apps), expected);
+            if expected.is_ok() {
+                assert_eq!(placed.count(app, node), before.count(app, node) + 1);
+                assert_eq!(placed.total_placed(), before.total_placed() + 1);
+            } else {
+                assert_eq!(placed, before, "a rejected checked_place changes nothing");
+            }
+        }
     }
 
     #[test]

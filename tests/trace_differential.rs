@@ -4,7 +4,10 @@
 //!    run with a buffering [`JsonlSink`] produce bit-identical placements
 //!    and metrics (tracing observes decisions, never influences them);
 //! 2. trace *content* must be deterministic — two traced runs of the same
-//!    scenario yield byte-identical deterministic JSONL.
+//!    scenario yield byte-identical deterministic JSONL;
+//! 3. nodes the optimizer skips without building a candidate still show
+//!    in a verbose trace: one `NodeEnter`/`NodeExit` pair per node per
+//!    sweep.
 
 #![deny(deprecated)]
 
@@ -12,7 +15,11 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dynaplace::apc::optimizer::{place, place_traced, ApcConfig};
+use std::sync::Mutex;
+
+use dynaplace::apc::optimizer::{
+    fill_only, fill_only_traced, place, place_traced, ApcConfig, PlacementOutcome,
+};
 use dynaplace::apc::problem::{PlacementProblem, WorkloadModel};
 use dynaplace::batch::hypothetical::JobSnapshot;
 use dynaplace::batch::job::JobProfile;
@@ -20,7 +27,7 @@ use dynaplace::model::prelude::*;
 use dynaplace::rpf::goal::CompletionGoal;
 use dynaplace::sim::metrics::RunMetrics;
 use dynaplace::sim::spec::ScenarioSpec;
-use dynaplace::trace::{JsonlSink, TraceLevel, TraceSink};
+use dynaplace::trace::{JsonlSink, TraceEvent, TraceLevel, TraceSink};
 
 fn repo_root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -159,4 +166,108 @@ fn place_traced_returns_the_same_outcome_bits_as_place() {
     assert_eq!(format!("{untraced:?}"), format!("{traced:?}"));
     assert_eq!(untraced.placement, traced.placement);
     assert_eq!(untraced.stats, traced.stats);
+}
+
+/// Keeps the node-loop events of a verbose trace as
+/// `(entered, sweep, node)`.
+#[derive(Debug, Default)]
+struct NodeVisits(Mutex<Vec<(bool, u64, NodeId)>>);
+
+impl TraceSink for NodeVisits {
+    fn wants(&self, _level: TraceLevel) -> bool {
+        true
+    }
+
+    fn record(&self, event: &TraceEvent) {
+        let visit = match *event {
+            TraceEvent::NodeEnter { sweep, node, .. } => (true, sweep, node),
+            TraceEvent::NodeExit { sweep, node, .. } => (false, sweep, node),
+            _ => return,
+        };
+        self.0.lock().expect("visit lock").push(visit);
+    }
+}
+
+/// 240 nodes, all empty but the first two, which each hold two running
+/// jobs and have no room for more; one job is queued. Most node visits
+/// can start nothing: every node once the queued job is placed, and the
+/// two full nodes before that.
+fn large_stacked_problem() -> PlacementProblem<'static> {
+    let mut cluster = Cluster::new();
+    for _ in 0..240 {
+        cluster.add_node(
+            NodeSpec::try_new(CpuSpeed::from_mhz(1_000.0), Memory::from_mb(1_500.0))
+                .expect("valid node capacities"),
+        );
+    }
+    let mut apps = AppSet::new();
+    let mut current = Placement::new();
+    let mut jobs = Vec::new();
+    for i in 0..5u32 {
+        let app = apps.add(ApplicationSpec::batch(
+            Memory::from_mb(700.0),
+            CpuSpeed::from_mhz(1_000.0),
+        ));
+        if i < 4 {
+            current.place(app, NodeId::new(i / 2));
+        }
+        jobs.push((app, 10_000.0 + 2_000.0 * f64::from(i)));
+    }
+    small_problem(&cluster, &apps, &current, &jobs)
+}
+
+/// Runs one pass untraced and with a verbose trace, asserts both
+/// outcomes are bit-identical, and that every sweep visits every node
+/// exactly once as an adjacent enter/exit pair. Returns the outcome.
+fn assert_traced_matches_untraced(
+    untraced: PlacementOutcome,
+    traced: impl FnOnce(&NodeVisits) -> PlacementOutcome,
+    nodes: usize,
+) -> PlacementOutcome {
+    let sink = NodeVisits::default();
+    let traced = traced(&sink);
+    // The Debug rendering prints every f64 in shortest-round-trip form,
+    // so equal strings mean bit-identical outcomes.
+    assert_eq!(format!("{untraced:?}"), format!("{traced:?}"));
+
+    let visits = sink.0.into_inner().expect("visit lock");
+    assert_eq!(visits.len(), 2 * nodes * traced.stats.sweeps);
+    for (i, pair) in visits.chunks(2).enumerate() {
+        let sweep = (i / nodes) as u64;
+        let node = NodeId::new((i % nodes) as u32);
+        assert_eq!(pair, [(true, sweep, node), (false, sweep, node)]);
+    }
+    traced
+}
+
+#[test]
+fn traced_equals_untraced_on_a_large_mostly_empty_cluster() {
+    let problem = large_stacked_problem();
+    let nodes = problem.cluster.len();
+    let config = ApcConfig::default();
+    let queued = AppId::new(4);
+
+    let advice = assert_traced_matches_untraced(
+        fill_only(&problem, &config),
+        |sink| fill_only_traced(&problem, &config, sink),
+        nodes,
+    );
+    assert!(
+        advice.placement.is_placed(queued),
+        "advice starts the queued job"
+    );
+    assert!(
+        advice.stats.sweeps >= 2,
+        "a sweep that adopts is followed by another"
+    );
+
+    let placed = assert_traced_matches_untraced(
+        place(&problem, &config),
+        |sink| place_traced(&problem, &config, sink),
+        nodes,
+    );
+    assert!(
+        placed.placement.is_placed(queued),
+        "place starts the queued job"
+    );
 }
