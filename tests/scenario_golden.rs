@@ -501,3 +501,81 @@ fn sharded_cluster_satisfaction_no_worse_than_unsharded() {
         "sharded mean final satisfaction regressed: {s:.4} vs unsharded {u:.4}"
     );
 }
+
+/// Pins the scenario wire format byte for byte: every checked-in
+/// scenario, repro and perf spec is parsed and printed back with
+/// `to_json_string`, and the printout must match
+/// `tests/golden/wire/<dir>/<name>.json`. The round-trip properties
+/// cannot see a key renamed on both sides of the codec; this can.
+#[test]
+fn scenario_wire_format_matches_golden() {
+    for dir in ["scenarios", "tests/repro", "tests/perf"] {
+        let mut files: Vec<PathBuf> = std::fs::read_dir(repo_root().join(dir))
+            .unwrap_or_else(|e| panic!("cannot list {dir}: {e}"))
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty(), "{dir} holds no scenario files");
+        for path in files {
+            let text = std::fs::read_to_string(&path).expect("readable scenario");
+            let spec = ScenarioSpec::from_json_str(&text)
+                .unwrap_or_else(|e| panic!("invalid scenario {}: {e}", path.display()));
+            let file = path
+                .file_name()
+                .and_then(|f| f.to_str())
+                .expect("utf-8 name");
+            assert_matches_golden_file(
+                &format!("wire/{dir}/{file}"),
+                &format!("{dir}/{file} wire form"),
+                &spec.to_json_string(),
+            );
+        }
+    }
+}
+
+/// The pretty `RunMetrics` JSON of a run, with the one wall-clock field
+/// (`placement_compute_secs`) zeroed so the printout is deterministic.
+fn metrics_wire(mut metrics: RunMetrics) -> String {
+    for sample in &mut metrics.samples {
+        sample.placement_compute_secs = 0.0;
+    }
+    dynaplace_json::ToJson::to_json(&metrics).pretty()
+}
+
+/// Pins the `RunMetrics` artifact format byte for byte over runs chosen
+/// so each conditionally written field appears both present and absent:
+/// `rigid_utilization` (multi_resource only), `observation`
+/// (noisy_telemetry only), `totals` (the aggregate-retention streaming
+/// run only), `placements` (recorded on multi_resource only) and
+/// `starvation` (always `null` here).
+#[test]
+fn metrics_wire_format_matches_golden() {
+    use dynaplace::sim::MetricsRetention;
+
+    let mut sim = load_scenario("multi_resource").build();
+    sim.record_placements(true);
+    let runs = [
+        ("multi_resource", sim.run()),
+        (
+            "noisy_telemetry",
+            load_scenario("noisy_telemetry").build().run(),
+        ),
+        ("diurnal_stream.aggregate", {
+            let mut spec = load_scenario("diurnal_stream");
+            // A shorter horizon keeps the golden small; the stream still
+            // completes jobs before it.
+            spec.horizon_secs = Some(7_200.0);
+            let mut sim = spec.build_streaming();
+            sim.set_retention(MetricsRetention::Aggregate);
+            sim.run()
+        }),
+    ];
+    for (name, metrics) in runs {
+        assert_matches_golden_file(
+            &format!("wire/metrics/{name}.json"),
+            &format!("{name} metrics wire form"),
+            &metrics_wire(metrics),
+        );
+    }
+}
