@@ -136,3 +136,25 @@ pub fn find_run<'a>(runs: &'a [Exp2Run], scheduler: &str, ia: f64) -> &'a Exp2Ru
         .find(|r| r.scheduler == scheduler && (r.inter_arrival - ia).abs() < 1e-9)
         .unwrap_or_else(|| panic!("missing run {scheduler}@{ia}"))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The checked-in sweep cache must still decode: the sweep silently
+    /// re-simulates (for hours at paper scale) when decoding fails, so a
+    /// codec change that broke it would otherwise go unnoticed.
+    #[test]
+    fn checked_in_sweep_cache_decodes() {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../results/exp2_sweep_seed42_jobs800.json");
+        let text = std::fs::read_to_string(&path).expect("checked-in sweep cache");
+        let runs = Vec::<Exp2Run>::from_json(&Json::parse(&text).expect("cache parses"))
+            .expect("cache decodes as Vec<Exp2Run>");
+        assert_eq!(
+            runs.len(),
+            EXP2_INTER_ARRIVALS.len() * scheduler_configs().len()
+        );
+        assert!(runs.iter().all(|r| r.metrics.completed_jobs() > 0));
+    }
+}

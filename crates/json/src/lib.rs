@@ -414,12 +414,18 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Consume the run of plain bytes up to the next quote
+                    // or escape, validating only that run: validating the
+                    // whole remaining document per character made parsing
+                    // quadratic in the document size.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let text = std::str::from_utf8(&self.bytes[self.pos..self.pos + run])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -650,6 +656,15 @@ mod tests {
             Json::parse("\"a\\nb\"").unwrap(),
             Json::Str("a\nb".to_string())
         );
+    }
+
+    #[test]
+    fn strings_mix_multibyte_runs_and_escapes() {
+        assert_eq!(
+            Json::parse(r#""h\u00e9 \"wörld\" ✓\n""#).unwrap(),
+            Json::Str("h\u{e9} \"w\u{f6}rld\" \u{2713}\n".to_string())
+        );
+        assert!(Json::parse(r#""unterminated é"#).is_err());
     }
 
     #[test]
