@@ -10,12 +10,10 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use dynaplace_model::units::Work;
 
 /// Streaming statistics of one job class (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ClassStats {
     count: u64,
     mean: f64,
@@ -65,7 +63,7 @@ impl ClassStats {
 /// assert_eq!(est.mean_work(), Work::from_mcycles(1_000.0));
 /// assert!(profiler.estimate("unknown").is_none());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobClassProfiler {
     min_samples: u64,
     classes: BTreeMap<String, ClassStats>,

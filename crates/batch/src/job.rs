@@ -1,14 +1,12 @@
 //! Batch job descriptions: resource usage profiles and SLA goals (§4.1).
 
-use serde::{Deserialize, Serialize};
-
 use dynaplace_model::ids::AppId;
 use dynaplace_model::units::{CpuSpeed, Memory, SimDuration, SimTime, Work};
 use dynaplace_rpf::goal::CompletionGoal;
 
 /// One stage of a job's resource usage profile (§4.1): the work it
 /// performs, the speed bounds it runs within, and the memory it pins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobStage {
     /// CPU cycles consumed in this stage (the paper's `α_k`).
     work: Work,
@@ -90,7 +88,7 @@ impl JobStage {
 /// );
 /// assert_eq!(profile.min_execution_time().as_secs(), 17_600.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobProfile {
     stages: Vec<JobStage>,
 }
@@ -167,7 +165,7 @@ impl JobProfile {
 }
 
 /// A submitted job: identity, profile, arrival time, and SLA goal.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     app: AppId,
     profile: JobProfile,

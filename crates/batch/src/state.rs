@@ -1,14 +1,12 @@
 //! Runtime state of a job (§4.1): status and CPU time consumed so far.
 
-use serde::{Deserialize, Serialize};
-
 use dynaplace_model::units::{CpuSpeed, Memory, SimDuration, SimTime, Work};
 
 use crate::job::JobProfile;
 
 /// The lifecycle status of a job (§4.1 lists running, not-started,
 /// suspended, and paused; completion is added for bookkeeping).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum JobStatus {
     /// Submitted but never started.
     NotStarted,
@@ -36,7 +34,7 @@ impl JobStatus {
 
 /// Mutable runtime state of one job: how much work it has consumed (the
 /// paper's `α*`), its status, and its completion time once finished.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobState {
     status: JobStatus,
     consumed: Work,

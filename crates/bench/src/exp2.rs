@@ -9,7 +9,7 @@
 
 use std::sync::Mutex;
 
-use dynaplace_json::{obj, FromJson, Json, JsonError, ToJson};
+use dynaplace_json::{json_object, FromJson, Json};
 use dynaplace_sim::engine::SimConfig;
 use dynaplace_sim::metrics::RunMetrics;
 use dynaplace_sim::scenario::experiment_two;
@@ -30,25 +30,11 @@ pub struct Exp2Run {
     pub metrics: RunMetrics,
 }
 
-impl ToJson for Exp2Run {
-    fn to_json(&self) -> Json {
-        obj([
-            ("scheduler", self.scheduler.to_json()),
-            ("inter_arrival", self.inter_arrival.to_json()),
-            ("metrics", self.metrics.to_json()),
-        ])
-    }
-}
-
-impl FromJson for Exp2Run {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(Exp2Run {
-            scheduler: v.field("scheduler")?,
-            inter_arrival: v.field("inter_arrival")?,
-            metrics: v.field("metrics")?,
-        })
-    }
-}
+json_object!(Exp2Run {
+    scheduler,
+    inter_arrival,
+    metrics,
+});
 
 fn scheduler_configs() -> Vec<(&'static str, SimConfig)> {
     vec![

@@ -97,7 +97,7 @@ pub(crate) fn distribute_with(
     // per-application range query.
     let mut cell_iter = placement.iter().peekable();
     for (&app, model) in problem.workloads.iter() {
-        // Same bounds `effective_speed_bounds` computes, from the model
+        // Same bounds `try_effective_speed_bounds` computes, from the model
         // reference already in hand.
         let (min, max) = match model {
             WorkloadModel::Batch(snap) => (snap.min_speed(), snap.max_speed()),

@@ -310,28 +310,6 @@ impl<'a> PlacementProblem<'a> {
         }
     }
 
-    /// The memory one instance of `app` pins right now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `app` is not live or not registered.
-    #[deprecated(since = "0.5.0", note = "use `try_effective_memory` instead")]
-    pub fn effective_memory(&self, app: AppId) -> Memory {
-        self.try_effective_memory(app)
-            .expect("live app is registered")
-    }
-
-    /// Per-instance speed bounds of `app` right now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `app` is not live or not registered.
-    #[deprecated(since = "0.5.0", note = "use `try_effective_speed_bounds` instead")]
-    pub fn effective_speed_bounds(&self, app: AppId) -> (CpuSpeed, CpuSpeed) {
-        self.try_effective_speed_bounds(app)
-            .expect("live app is registered")
-    }
-
     /// Whether `app` may be placed on `node` per its static constraints
     /// (pinning; anti-affinity is checked against a concrete placement)
     /// and this cycle's quarantine list.

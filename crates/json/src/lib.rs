@@ -1,17 +1,22 @@
 //! Minimal JSON support for dynaplace: a value model, a strict parser,
-//! a pretty-printer, and explicit conversion traits.
+//! a pretty-printer, explicit conversion traits, and the field-table
+//! macro that describes the workspace's wire format.
 //!
-//! The workspace builds in offline environments where serde/serde_json
-//! are unavailable, and its JSON needs are small and concrete: read
-//! scenario specifications (`scenarios/*.json`), write result artifacts
-//! (`results/*.json`), and round-trip the Experiment Two sweep cache.
-//! Those paths use explicit [`ToJson`]/[`FromJson`] implementations on
-//! the few types involved, which also keeps the on-disk format an
-//! intentional, reviewed surface rather than a derive side effect.
+//! This crate is the workspace's one JSON codec. Its needs are small and
+//! concrete: read scenario specifications (`scenarios/*.json`), write
+//! result artifacts (`results/*.json`), round-trip the Experiment Two
+//! sweep cache, and print decision traces. Types convert through
+//! explicit [`ToJson`]/[`FromJson`] implementations; a struct whose wire
+//! form is an object keyed by its field names gets both from one
+//! [`json_object!`] table, which states every key, read default and
+//! omission rule exactly once. Keeping the format in code that runs
+//! makes the on-disk format an intentional, reviewed surface rather
+//! than a derive side effect.
 //!
 //! Numbers are stored as `f64` (JSON's number model); printing uses
 //! Rust's shortest round-trip formatting, so `parse(print(x)) == x` for
-//! every finite value.
+//! every finite value. Integer types decode strictly: a fractional,
+//! negative or out-of-range number is an error naming the value.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -228,19 +233,7 @@ impl Json {
         }
     }
 
-    /// Typed optional field: absent and `null` both give the default.
-    pub fn field_or<T: FromJson + Default>(&self, key: &str) -> Result<T> {
-        match self.get(key) {
-            None => Ok(T::default()),
-            Some(Json::Null) => Ok(T::default()),
-            Some(v) => {
-                T::from_json(v).map_err(|e| JsonError::new(format!("field '{key}': {}", e.message)))
-            }
-        }
-    }
-
-    /// Like [`Json::field_or`] with an explicit fallback, for optional
-    /// fields whose default is not `T::default()`.
+    /// Typed optional field: absent and `null` both give `default()`.
     pub fn field_or_else<T: FromJson>(&self, key: &str, default: impl FnOnce() -> T) -> Result<T> {
         match self.get(key) {
             None | Some(Json::Null) => Ok(default()),
@@ -280,7 +273,7 @@ fn write_escaped(out: &mut String, s: &str) {
 /// visually (1.0, not 1).
 fn format_number(x: f64) -> String {
     if !x.is_finite() {
-        // JSON has no Inf/NaN; mirror serde_json's `null`.
+        // JSON has no Inf/NaN; print `null`, as serde_json does.
         return "null".to_string();
     }
     if x == x.trunc() && x.abs() < 1e15 {
@@ -517,7 +510,23 @@ impl FromJson for Json {
     }
 }
 
-macro_rules! num_conv {
+impl ToJson for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(v: &Json) -> Result<Self> {
+        v.as_f64()
+            .ok_or_else(|| JsonError::new("expected a number"))
+    }
+}
+
+/// Integers decode strictly: a negative, fractional or out-of-range
+/// number is an error naming the value, never a saturated or truncated
+/// integer (`"count": 2.7` used to decode as 2, `"app": -1` as app 0).
+macro_rules! int_conv {
     ($($t:ty),*) => {$(
         impl ToJson for $t {
             fn to_json(&self) -> Json {
@@ -526,13 +535,24 @@ macro_rules! num_conv {
         }
         impl FromJson for $t {
             fn from_json(v: &Json) -> Result<Self> {
-                let x = v.as_f64().ok_or_else(|| JsonError::new("expected a number"))?;
+                let x = f64::from_json(v)?;
+                if x.fract() != 0.0 {
+                    return Err(JsonError::new(format!("expected an integer, got {x}")));
+                }
+                // `MAX as f64 + 1.0` is exactly 2^bits (2^(bits-1) when
+                // signed) for every type listed: the bound is exclusive.
+                if x < <$t>::MIN as f64 || x >= <$t>::MAX as f64 + 1.0 {
+                    return Err(JsonError::new(format!(
+                        "{x} is out of range for {}",
+                        stringify!($t)
+                    )));
+                }
                 Ok(x as $t)
             }
         }
     )*};
 }
-num_conv!(f64, f32, u64, u32, usize, i64, i32);
+int_conv!(u64, u32, usize, i64, i32);
 
 impl ToJson for bool {
     fn to_json(&self) -> Json {
@@ -623,13 +643,21 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
     }
 }
 
-impl<K: ToString, V: ToJson> ToJson for BTreeMap<K, V> {
+impl<V: ToJson> ToJson for BTreeMap<String, V> {
     fn to_json(&self) -> Json {
-        Json::Obj(
-            self.iter()
-                .map(|(k, v)| (k.to_string(), v.to_json()))
+        Json::Obj(self.iter().map(|(k, v)| (k.clone(), v.to_json())).collect())
+    }
+}
+
+impl<V: FromJson> FromJson for BTreeMap<String, V> {
+    fn from_json(v: &Json) -> Result<Self> {
+        match v {
+            Json::Obj(fields) => fields
+                .iter()
+                .map(|(k, v)| Ok((k.clone(), V::from_json(v)?)))
                 .collect(),
-        )
+            _ => Err(JsonError::new("expected an object")),
+        }
     }
 }
 
@@ -641,6 +669,136 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
             .map(|(k, v)| (k.to_string(), v))
             .collect(),
     )
+}
+
+/// Derives [`ToJson`] and [`FromJson`] for a struct whose wire form is
+/// an object keyed by its field names, from one ordered field table.
+/// The table is the single description of the format: each entry names
+/// a field (its name is its key), states how it is read and how it is
+/// written, and table order is wire order. Every field of the struct
+/// must appear, or the generated struct literal does not compile.
+///
+/// An entry is one of:
+///
+/// - `field` — required on read; always written.
+/// - `field: default` — absent or `null` reads as `Default::default()`.
+/// - `field: default(expr)` — absent or `null` reads as `expr`.
+///
+/// A defaulted entry may add a write rule, `omit_if none` (skip the key
+/// when the value is `None`), `omit_if empty` (when `is_empty()`), or
+/// `omit_if default` (when equal to `Default::default()`). Writing
+/// `Type: Default { field, ... }` instead defaults every field from the
+/// struct's own `Default` impl and always writes them all.
+///
+/// `read_via = path` puts a step in front of the table on read: `path`
+/// is a `fn(&Json) -> Cow<'_, Json>` that may rewrite the object before
+/// its fields are read (legacy layouts), borrowing it unchanged
+/// otherwise.
+///
+/// ```
+/// use dynaplace_json::{json_object, FromJson, Json, ToJson};
+///
+/// #[derive(Debug, PartialEq)]
+/// struct Group {
+///     count: usize,
+///     name: Option<String>,
+///     tasks: u32,
+///     tags: Vec<String>,
+/// }
+///
+/// json_object!(Group {
+///     count,
+///     name: default omit_if none,
+///     tasks: default(1),
+///     tags: default omit_if empty,
+/// });
+///
+/// let group = Group::from_json(&Json::parse(r#"{"count": 2}"#).unwrap()).unwrap();
+/// assert_eq!(group, Group { count: 2, name: None, tasks: 1, tags: vec![] });
+/// assert_eq!(group.to_json().compact(), r#"{"count":2.0,"tasks":1.0}"#);
+/// ```
+#[macro_export]
+macro_rules! json_object {
+    ($ty:ty: Default { $($field:ident),* $(,)? }) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::Obj(vec![$(
+                    (stringify!($field).to_string(), $crate::ToJson::to_json(&self.$field)),
+                )*])
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(v: &$crate::Json) -> $crate::Result<Self> {
+                let d = <Self as Default>::default();
+                Ok(Self {
+                    $($field: v.field_or_else(stringify!($field), || d.$field)?,)*
+                })
+            }
+        }
+    };
+    (
+        $ty:ty $(, read_via = $pre:path)? {
+            $($field:ident $(: default $(($default:expr))? $(omit_if $omit:ident)?)?),* $(,)?
+        }
+    ) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                let mut fields = Vec::new();
+                $(
+                    if !$crate::__json_omit!(self.$field $($(, $omit)?)?) {
+                        fields.push((
+                            stringify!($field).to_string(),
+                            $crate::ToJson::to_json(&self.$field),
+                        ));
+                    }
+                )*
+                $crate::Json::Obj(fields)
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(v: &$crate::Json) -> $crate::Result<Self> {
+                $(let v: &$crate::Json = &$pre(v);)?
+                Ok(Self {
+                    $($field: $crate::__json_read!(v, $field $(, default $(, $default)?)?),)*
+                })
+            }
+        }
+    };
+}
+
+/// The read rule of one [`json_object!`] entry.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_read {
+    ($v:ident, $field:ident) => {
+        $v.field(stringify!($field))?
+    };
+    ($v:ident, $field:ident, default) => {
+        $v.field_or_else(stringify!($field), Default::default)?
+    };
+    ($v:ident, $field:ident, default, $default:expr) => {
+        $v.field_or_else(stringify!($field), || $default)?
+    };
+}
+
+/// The write rule of one [`json_object!`] entry: whether to omit it.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_omit {
+    ($value:expr) => {
+        false
+    };
+    ($value:expr, none) => {
+        Option::is_none(&$value)
+    };
+    ($value:expr, empty) => {
+        $value.is_empty()
+    };
+    ($value:expr, default) => {
+        $value == Default::default()
+    };
 }
 
 #[cfg(test)]
@@ -731,8 +889,154 @@ mod tests {
         let v = Json::parse(r#"{"count": 3, "name": "x", "opt": null}"#).unwrap();
         assert_eq!(v.field::<usize>("count").unwrap(), 3);
         assert_eq!(v.field::<String>("name").unwrap(), "x");
-        assert_eq!(v.field_or::<u64>("missing").unwrap(), 0);
-        assert_eq!(v.field_or::<Option<f64>>("opt").unwrap(), None);
+        assert_eq!(v.field_or_else::<u64>("missing", || 7).unwrap(), 7);
+        assert_eq!(
+            v.field_or_else::<Option<f64>>("opt", || Some(1.0)).unwrap(),
+            Some(1.0)
+        );
         assert!(v.field::<f64>("missing").is_err());
+    }
+
+    #[test]
+    fn integers_decode_strictly() {
+        let int = |x: f64| Json::Num(x);
+        assert_eq!(u32::from_json(&int(4_294_967_295.0)).unwrap(), u32::MAX);
+        assert_eq!(i32::from_json(&int(-2_147_483_648.0)).unwrap(), i32::MIN);
+        assert_eq!(i64::from_json(&int(-1.0)).unwrap(), -1);
+        assert_eq!(usize::from_json(&int(0.0)).unwrap(), 0);
+
+        let rejects = |err: JsonError, needle: &str| {
+            assert!(err.message.contains(needle), "{needle}: {}", err.message);
+        };
+        // Non-integral.
+        rejects(usize::from_json(&int(2.7)).unwrap_err(), "2.7");
+        rejects(i64::from_json(&int(-0.5)).unwrap_err(), "-0.5");
+        rejects(u32::from_json(&int(f64::INFINITY)).unwrap_err(), "inf");
+        // Negative into an unsigned type.
+        rejects(
+            u32::from_json(&int(-1.0)).unwrap_err(),
+            "-1 is out of range for u32",
+        );
+        rejects(
+            u64::from_json(&int(-1.0)).unwrap_err(),
+            "out of range for u64",
+        );
+        // Beyond the type's range.
+        rejects(
+            u32::from_json(&int(4_294_967_296.0)).unwrap_err(),
+            "4294967296",
+        );
+        rejects(
+            u64::from_json(&int(2f64.powi(64))).unwrap_err(),
+            "out of range for u64",
+        );
+        rejects(
+            usize::from_json(&int(2f64.powi(64))).unwrap_err(),
+            "out of range",
+        );
+        rejects(
+            i32::from_json(&int(2_147_483_648.0)).unwrap_err(),
+            "out of range",
+        );
+        rejects(
+            i32::from_json(&int(-2_147_483_649.0)).unwrap_err(),
+            "out of range",
+        );
+        // Not a number at all.
+        rejects(
+            u32::from_json(&Json::Null).unwrap_err(),
+            "expected a number",
+        );
+        // Floats are unchanged.
+        assert_eq!(f64::from_json(&int(2.7)).unwrap(), 2.7);
+    }
+
+    #[derive(Debug, Clone, PartialEq, Default)]
+    struct Counters {
+        hits: u64,
+        misses: u64,
+    }
+
+    json_object!(Counters: Default { hits, misses });
+
+    #[derive(Debug, Clone, PartialEq)]
+    struct Record {
+        id: u32,
+        label: Option<String>,
+        weight: f64,
+        tags: BTreeMap<String, f64>,
+        counters: Counters,
+    }
+
+    /// Hoists a legacy `legacy_weight` key into `weight`.
+    fn legacy_weight(v: &Json) -> std::borrow::Cow<'_, Json> {
+        match (v, v.get("legacy_weight")) {
+            (Json::Obj(fields), Some(weight)) => {
+                let mut fields = fields.clone();
+                fields.push(("weight".to_string(), weight.clone()));
+                std::borrow::Cow::Owned(Json::Obj(fields))
+            }
+            _ => std::borrow::Cow::Borrowed(v),
+        }
+    }
+
+    json_object!(Record, read_via = legacy_weight {
+        id,
+        label: default omit_if none,
+        weight: default(1.5),
+        tags: default omit_if empty,
+        counters: default omit_if default,
+    });
+
+    #[test]
+    fn field_table_reads_and_writes_by_its_rules() {
+        let minimal = Record::from_json(&Json::parse(r#"{"id": 3}"#).unwrap()).unwrap();
+        assert_eq!(
+            minimal,
+            Record {
+                id: 3,
+                label: None,
+                weight: 1.5,
+                tags: BTreeMap::new(),
+                counters: Counters::default(),
+            }
+        );
+        // Omitted keys stay omitted; the rest print in table order.
+        assert_eq!(minimal.to_json().compact(), r#"{"id":3.0,"weight":1.5}"#);
+
+        let full = Record {
+            id: 4,
+            label: Some("x".to_string()),
+            weight: 2.0,
+            tags: BTreeMap::from([("a".to_string(), 1.0)]),
+            counters: Counters { hits: 1, misses: 0 },
+        };
+        let text = full.to_json().compact();
+        assert_eq!(
+            text,
+            r#"{"id":4.0,"label":"x","weight":2.0,"tags":{"a":1.0},"counters":{"hits":1.0,"misses":0.0}}"#
+        );
+        assert_eq!(
+            Record::from_json(&Json::parse(&text).unwrap()).unwrap(),
+            full
+        );
+
+        // `null` reads as the default; a missing required key is named.
+        let nulls = Json::parse(r#"{"id": 5, "weight": null, "counters": {"hits": 2}}"#).unwrap();
+        let decoded = Record::from_json(&nulls).unwrap();
+        assert_eq!(decoded.weight, 1.5);
+        assert_eq!(decoded.counters, Counters { hits: 2, misses: 0 });
+        let err = Record::from_json(&Json::parse("{}").unwrap()).unwrap_err();
+        assert_eq!(err.message, "missing field 'id'");
+        let err = Record::from_json(&Json::parse(r#"{"id": -1}"#).unwrap()).unwrap_err();
+        assert!(
+            err.message.starts_with("field 'id': -1 is out of range"),
+            "{}",
+            err.message
+        );
+
+        // The read-side step runs in front of the table.
+        let legacy = Json::parse(r#"{"id": 6, "legacy_weight": 9.0}"#).unwrap();
+        assert_eq!(Record::from_json(&legacy).unwrap().weight, 9.0);
     }
 }

@@ -10,15 +10,13 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 use crate::resources::Resources;
 use crate::units::{CpuSpeed, Memory};
 
 /// The broad class of a workload, which determines which performance model
 /// drives its relative performance function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WorkloadKind {
     /// Interactive request/response workload with a response-time goal.
     Transactional,
@@ -37,8 +35,7 @@ impl fmt::Display for WorkloadKind {
 
 /// Anti-affinity group label: two applications carrying the same group may
 /// never share a node (a form of the paper's "collocation constraints").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AntiAffinityGroup(pub u32);
 
 impl Ord for AntiAffinityGroup {
@@ -68,7 +65,7 @@ impl PartialOrd for AntiAffinityGroup {
 ///     .with_name("portfolio-analysis");
 /// assert_eq!(spec.max_instances(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ApplicationSpec {
     name: Option<String>,
     kind: WorkloadKind,

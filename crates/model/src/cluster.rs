@@ -1,7 +1,5 @@
 //! Registries of nodes and applications.
 
-use serde::{Deserialize, Serialize};
-
 use crate::app::ApplicationSpec;
 use crate::error::ModelError;
 use crate::ids::{AppId, NodeId};
@@ -27,7 +25,7 @@ use crate::units::{CpuSpeed, Memory};
 /// assert_eq!(cluster.len(), 25);
 /// assert_eq!(cluster.total_cpu(), CpuSpeed::from_mhz(390_000.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Cluster {
     nodes: Vec<NodeSpec>,
     /// The rigid dimension registry every node's (and tenant
@@ -148,7 +146,7 @@ impl Cluster {
 ///
 /// [`retire`]: AppSet::retire
 /// [`add`]: AppSet::add
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppSet {
     apps: Vec<Option<ApplicationSpec>>,
     /// Vacant slot indices (retired ids), kept sorted so reuse is

@@ -8,13 +8,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{AppId, NodeId};
 use crate::placement::Placement;
 
 /// One abstract control action produced by diffing two placements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[allow(missing_docs)] // variant fields are self-describing
 pub enum PlacementAction {
     /// Start a new instance of `app` on `node`.

@@ -2,15 +2,36 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use dynaplace_json::{FromJson, Json, JsonError, ToJson};
+
+/// JSON form of an id: its dense index as a bare number. Decoding
+/// rejects anything a `u32` cannot hold, naming the id kind.
+macro_rules! json_id {
+    ($name:ident, $kind:literal) => {
+        impl ToJson for $name {
+            fn to_json(&self) -> Json {
+                self.0.to_json()
+            }
+        }
+
+        impl FromJson for $name {
+            fn from_json(v: &Json) -> dynaplace_json::Result<Self> {
+                u32::from_json(v).map(Self).map_err(|e| JsonError {
+                    message: format!(concat!($kind, " id {}"), e.message),
+                })
+            }
+        }
+    };
+}
 
 /// Identifier of a physical machine ("node" in the paper's terminology).
 ///
 /// Node ids are dense indices assigned by [`crate::cluster::Cluster`] in
 /// registration order, which keeps every per-node table a plain `Vec`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeId(u32);
+
+json_id!(NodeId, "node");
 
 impl Ord for NodeId {
     #[inline]
@@ -51,9 +72,10 @@ impl fmt::Display for NodeId {
 /// Both transactional applications and batch jobs are "applications" from
 /// the placement controller's point of view (§3.2 of the paper); the id
 /// space is shared.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AppId(u32);
+
+json_id!(AppId, "app");
 
 impl Ord for AppId {
     #[inline]

@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::cluster::{AppSet, Cluster};
 use crate::error::ModelError;
 use crate::ids::{AppId, NodeId};
@@ -27,7 +25,7 @@ pub const CPU_TOLERANCE_MHZ: f64 = 1e-6;
 /// l.set(AppId::new(0), NodeId::new(1), CpuSpeed::from_mhz(500.0));
 /// assert_eq!(l.app_total(AppId::new(0)), CpuSpeed::from_mhz(500.0));
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct LoadDistribution {
     cells: BTreeMap<(AppId, NodeId), CpuSpeed>,
 }

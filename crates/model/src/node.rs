@@ -2,8 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::resources::Resources;
 use crate::units::{CpuSpeed, Memory};
 
@@ -59,7 +57,7 @@ impl std::error::Error for NodeSpecError {}
 ///     .unwrap();
 /// assert_eq!(node.cpu_capacity(), CpuSpeed::from_mhz(15_600.0));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSpec {
     name: Option<String>,
     cpu: CpuSpeed,
@@ -67,27 +65,6 @@ pub struct NodeSpec {
 }
 
 impl NodeSpec {
-    /// Creates a node with the given total CPU speed and memory capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either capacity is negative. Prefer
-    /// [`NodeSpec::try_new`], which reports the defect as a typed error
-    /// instead.
-    #[deprecated(since = "0.6.0", note = "use `try_new` instead")]
-    pub fn new(cpu: CpuSpeed, memory: Memory) -> Self {
-        assert!(cpu.as_mhz() >= 0.0, "cpu capacity must be non-negative");
-        assert!(
-            memory.as_mb() >= 0.0,
-            "memory capacity must be non-negative"
-        );
-        Self {
-            name: None,
-            cpu,
-            rigid: Resources::memory_only(memory),
-        }
-    }
-
     /// Creates a node with the given total CPU speed and memory capacity,
     /// rejecting negative capacities with a typed error.
     ///
@@ -180,13 +157,6 @@ mod tests {
         assert_eq!(n.memory_capacity(), Memory::from_mb(2_000.0));
         assert_eq!(n.name(), Some("example"));
         assert!(n.to_string().contains("example"));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    #[should_panic(expected = "cpu capacity must be non-negative")]
-    fn deprecated_new_still_rejects_negative_cpu() {
-        let _ = NodeSpec::new(CpuSpeed::from_mhz(-1.0), Memory::ZERO);
     }
 
     #[test]

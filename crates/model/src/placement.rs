@@ -3,8 +3,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::app::ApplicationSpec;
 use crate::cluster::{AppSet, Cluster};
 use crate::delta::{diff_placements, PlacementAction};
@@ -28,7 +26,7 @@ use crate::units::Memory;
 /// assert_eq!(p.count(AppId::new(0), NodeId::new(2)), 1);
 /// assert_eq!(p.total_instances(AppId::new(0)), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Placement {
     cells: BTreeMap<(AppId, NodeId), u32>,
 }

@@ -30,8 +30,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 use crate::units::Memory;
 
 /// Error constructing a [`ResourceDims`] registry.
@@ -74,7 +72,7 @@ impl std::error::Error for ResourceError {}
 /// assert_eq!(dims.name(ResourceDims::MEMORY), "memory_mb");
 /// assert_eq!(dims.index_of("license_slots"), Some(2));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceDims {
     names: Vec<String>,
 }
@@ -188,7 +186,7 @@ impl fmt::Display for ResourceDims {
 /// assert_eq!(demand.get(1), 100.0);
 /// assert_eq!(demand.get(7), 0.0); // zero-extended
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Resources {
     values: Vec<f64>,
 }

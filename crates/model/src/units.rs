@@ -20,15 +20,33 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
+use dynaplace_json::{FromJson, Json, ToJson};
+
+/// JSON form of an `f64` newtype: the bare magnitude.
+macro_rules! json_magnitude {
+    ($name:ident, $ctor:ident, $getter:ident) => {
+        impl ToJson for $name {
+            fn to_json(&self) -> Json {
+                self.$getter().to_json()
+            }
+        }
+
+        impl FromJson for $name {
+            fn from_json(v: &Json) -> dynaplace_json::Result<Self> {
+                f64::from_json(v).map(Self::$ctor)
+            }
+        }
+    };
+}
 
 /// Declares the shared boilerplate for an `f64` newtype unit.
 macro_rules! unit {
     ($(#[$meta:meta])* $name:ident, $ctor:ident, $getter:ident, $suffix:literal) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, Default)]
         pub struct $name(f64);
+
+        json_magnitude!($name, $ctor, $getter);
 
         impl PartialOrd for $name {
             /// Mirrors `f64`'s IEEE partial order (`None` for NaN).
@@ -252,9 +270,10 @@ impl SimDuration {
 /// `SimTime` is distinct from [`SimDuration`] so that instants and spans
 /// cannot be mixed up: subtracting two instants yields a duration, and a
 /// duration can be added to an instant, but two instants cannot be added.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimTime(f64);
+
+json_magnitude!(SimTime, from_secs, as_secs);
 
 impl PartialOrd for SimTime {
     /// Mirrors `f64`'s IEEE partial order (`None` for NaN). Sorts must

@@ -5,8 +5,6 @@
 //! - Batch jobs carry a completion-time goal τ and desired start time
 //!   τ_start, with `u(t_c) = (τ − t_c)/(τ − τ_start)` (eq. 2).
 
-use serde::{Deserialize, Serialize};
-
 use dynaplace_model::units::{SimDuration, SimTime};
 
 use crate::value::Rp;
@@ -25,7 +23,7 @@ use crate::value::Rp;
 ///     .performance_at(SimTime::from_secs(6.0))
 ///     .approx_eq(Rp::new(0.6875), 1e-9));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompletionGoal {
     desired_start: SimTime,
     deadline: SimTime,
@@ -117,7 +115,7 @@ impl CompletionGoal {
 }
 
 /// Response-time goal of a transactional application (eq. 1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResponseTimeGoal {
     goal: SimDuration,
 }

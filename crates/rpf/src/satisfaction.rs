@@ -9,8 +9,6 @@
 
 use std::cmp::Ordering;
 
-use serde::{Deserialize, Serialize};
-
 use dynaplace_model::ids::AppId;
 
 use crate::value::Rp;
@@ -37,7 +35,7 @@ pub const DEFAULT_EPSILON: f64 = 1e-6;
 /// // b's worst application (0.65) beats a's worst (0.6).
 /// assert!(b.dominates(&a, 1e-6));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SatisfactionVector {
     /// Entries sorted ascending by performance, ties broken by app id for
     /// determinism.

@@ -3,8 +3,6 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Floor of the *healthy* relative-performance range.
 ///
 /// The paper samples the hypothetical relative performance function from
@@ -49,9 +47,21 @@ pub const RP_MIN: f64 = RP_FLOOR - SUB_FLOOR_BAND;
 /// assert!(late < on_goal && on_goal < ahead);
 /// assert_eq!(Rp::new(55.0), Rp::MAX); // clamped
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rp(f64);
+
+impl dynaplace_json::ToJson for Rp {
+    fn to_json(&self) -> dynaplace_json::Json {
+        dynaplace_json::ToJson::to_json(&self.0)
+    }
+}
+
+impl dynaplace_json::FromJson for Rp {
+    /// Decodes through [`Rp::new`], so out-of-range values clamp.
+    fn from_json(v: &dynaplace_json::Json) -> dynaplace_json::Result<Self> {
+        <f64 as dynaplace_json::FromJson>::from_json(v).map(Rp::new)
+    }
+}
 
 impl Rp {
     /// Exactly meeting the goal.
@@ -71,7 +81,7 @@ impl Rp {
     /// Sub-floor band values (below [`RP_FLOOR`]) should normally be
     /// constructed via [`Rp::banded_from_lateness`]; this constructor
     /// accepts them so already-banded values round-trip through plain
-    /// floats (serde, interpolation).
+    /// floats (JSON, interpolation).
     ///
     /// # Panics
     ///

@@ -21,8 +21,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use dynaplace_model::ids::{AppId, NodeId};
 use dynaplace_model::units::{Memory, SimDuration, SimTime};
 
@@ -33,7 +31,7 @@ use crate::costs::{VmCostModel, VmOperation};
 /// The defaults model a perfect virtualization layer: no failures, no
 /// latency jitter, no timeout — byte-identical behavior to a simulator
 /// without an actuation layer at all.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActuationConfig {
     /// Probability that an issued operation fails, drawn deterministically
     /// per (app, node, attempt). `0.0` disables failures. Values must be

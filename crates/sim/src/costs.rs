@@ -14,12 +14,10 @@
 //! While an operation is in flight the affected instance makes no
 //! progress.
 
-use serde::{Deserialize, Serialize};
-
 use dynaplace_model::units::{Memory, SimDuration};
 
 /// The kind of virtualization control operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VmOperation {
     /// Cold-start a new VM.
     Boot,
@@ -44,7 +42,7 @@ impl VmOperation {
 }
 
 /// Linear cost model for VM control operations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmCostModel {
     /// Seconds per MB of footprint for a suspend.
     pub suspend_secs_per_mb: f64,

@@ -3,48 +3,6 @@
 
 use super::*;
 
-/// Which decision maker drives the cluster.
-///
-/// Retired in favor of the open [`PolicyHandle`] surface: any policy in
-/// the registry (or a custom [`dynaplace_apc::PlacementPolicy`]) can
-/// drive the engine now, not just these three.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `PolicyHandle` (e.g. `PolicyHandle::apc_with`, `dynaplace_apc::resolve_policy`) instead"
-)]
-#[derive(Debug, Clone)]
-pub enum SchedulerKind {
-    /// The paper's placement controller, running a full optimization
-    /// every control cycle. When `advice_between_cycles` is set, job
-    /// arrivals and completions additionally trigger a non-disruptive
-    /// fill pass (§3.1: the scheduler consults the controller on where
-    /// and *when* a job should run).
-    Apc {
-        /// Optimizer tunables.
-        config: ApcConfig,
-        /// Run a start-only advice pass on arrivals/completions.
-        advice_between_cycles: bool,
-    },
-    /// First-Come, First-Served (non-preemptive, first fit).
-    Fcfs,
-    /// Earliest Deadline First (preemptive, first fit).
-    Edf,
-}
-
-#[allow(deprecated)]
-impl From<SchedulerKind> for PolicyHandle {
-    fn from(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Apc {
-                config,
-                advice_between_cycles,
-            } => PolicyHandle::apc_with(config, advice_between_cycles),
-            SchedulerKind::Fcfs => PolicyHandle::new(FcfsPolicy),
-            SchedulerKind::Edf => PolicyHandle::new(EdfPolicy),
-        }
-    }
-}
-
 /// One scripted node outage: the node's capacity drops to zero at
 /// `at`, instances on it are evicted (jobs suspended, losing no
 /// completed work), and — when `duration` is set — the node recovers
@@ -319,21 +277,5 @@ mod tests {
             SimConfig::fcfs_default().scheduler.class(),
             PolicyClass::Baseline
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn scheduler_kind_shim_converts_to_handles() {
-        let apc: PolicyHandle = SchedulerKind::Apc {
-            config: ApcConfig::default(),
-            advice_between_cycles: false,
-        }
-        .into();
-        assert_eq!(apc.name(), "apc");
-        assert!(!apc.advises_between_cycles());
-        let fcfs: PolicyHandle = SchedulerKind::Fcfs.into();
-        assert_eq!(fcfs.name(), "fcfs");
-        let edf: PolicyHandle = SchedulerKind::Edf.into();
-        assert_eq!(edf.name(), "edf");
     }
 }

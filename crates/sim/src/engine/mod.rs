@@ -61,8 +61,6 @@ mod reconcile;
 mod sample;
 mod telemetry;
 
-#[allow(deprecated)]
-pub use config::SchedulerKind;
 pub use config::{EstimationNoise, MetricsRetention, NodeOutage, SimConfig, DEFAULT_STALL_LIMIT};
 
 #[derive(Debug)]
@@ -552,6 +550,17 @@ impl Simulation {
     pub fn attach_source(&mut self, source: Box<dyn WorkloadSource>) {
         self.apps.reserve(source.reserved_ids());
         self.source = Some(source);
+    }
+
+    /// Admits every submission of `source` up front (lock-step mode),
+    /// after reserving its pre-assigned id block as
+    /// [`Simulation::attach_source`] does, so automatically assigned ids
+    /// match a streaming run of the same source.
+    pub(crate) fn admit_all(&mut self, mut source: impl WorkloadSource) {
+        self.apps.reserve(source.reserved_ids());
+        while let Some(submission) = source.next() {
+            self.admit(submission);
+        }
     }
 
     /// Overrides the completion-record retention policy after

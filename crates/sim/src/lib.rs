@@ -64,8 +64,6 @@ pub mod spec;
 
 pub use actuation::{ActuationConfig, ActuationState, OpOutcome};
 pub use costs::{VmCostModel, VmOperation};
-#[allow(deprecated)]
-pub use engine::SchedulerKind;
 pub use engine::{MetricsRetention, NodeOutage, SimConfig, Simulation};
 pub use metrics::{
     ActuationCounters, ChangeCounters, CompletionRecord, CycleSample, ObservationCounters,

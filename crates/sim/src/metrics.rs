@@ -1,15 +1,13 @@
 //! Metric collection: everything the paper's figures plot.
 
-use serde::{Deserialize, Serialize};
-
-use dynaplace_json::{obj, FromJson, Json, JsonError, ToJson};
+use dynaplace_json::{json_object, obj, FromJson, Json, JsonError, ToJson};
 use dynaplace_model::ids::{AppId, NodeId};
 use dynaplace_model::placement::Placement;
 use dynaplace_model::units::{CpuSpeed, SimDuration, SimTime};
 use dynaplace_rpf::value::Rp;
 
 /// One per-cycle sample of system state (the time axes of Figs. 2, 6, 7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CycleSample {
     /// Sample instant.
     pub time: SimTime,
@@ -41,7 +39,7 @@ pub struct CycleSample {
 
 /// Utilization of one extra rigid resource dimension in one
 /// [`CycleSample`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RigidDimSample {
     /// Registry name of the dimension (e.g. `disk_mb`).
     pub dim: String,
@@ -53,7 +51,7 @@ pub struct RigidDimSample {
 }
 
 /// One completed job (the scatter points of Fig. 5).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CompletionRecord {
     /// The job.
     pub app: AppId,
@@ -75,7 +73,7 @@ pub struct CompletionRecord {
 
 /// Counters of placement changes (Fig. 4 counts suspends + resumes +
 /// migrations; starts of never-run jobs are not changes).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ChangeCounters {
     /// First-time starts (boots).
     pub starts: u64,
@@ -98,7 +96,7 @@ impl ChangeCounters {
 /// Counters of the fault-tolerant actuation layer and its reconciliation
 /// loop. All-zero whenever the actuation configuration is the default
 /// (infallible) one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActuationCounters {
     /// Operations that failed outright (placement unchanged).
     pub failed_ops: u64,
@@ -132,7 +130,7 @@ impl ActuationCounters {
 /// report transport faults, node-health transitions, and staleness-
 /// budget degradations. All-zero whenever the observation configuration
 /// is the default (perfect-telemetry) one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ObservationCounters {
     /// Node heartbeats lost in transport.
     pub missed_heartbeats: u64,
@@ -165,7 +163,7 @@ impl ObservationCounters {
 /// The placement in effect at the end of one control cycle. Only
 /// recorded when [`crate::engine::SimConfig::record_placements`] is set
 /// (golden-file regression tests diff consecutive records).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementRecord {
     /// Sample instant (matches the [`CycleSample`] at the same time).
     pub time: SimTime,
@@ -180,7 +178,7 @@ pub struct PlacementRecord {
 /// job whose deadline is so hopelessly blown that its relative
 /// performance sits at the floor whatever it receives, on a cluster
 /// whose capacity a transactional workload legitimately absorbs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StarvationReport {
     /// When the stall was declared (end of the last identical cycle).
     pub time: SimTime,
@@ -195,7 +193,7 @@ pub struct StarvationReport {
 /// instead of O(all jobs).
 ///
 /// [`MetricsRetention::Aggregate`]: crate::engine::MetricsRetention
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CompletionTotals {
     /// Jobs completed.
     pub count: u64,
@@ -217,7 +215,7 @@ impl CompletionTotals {
 }
 
 /// Everything recorded over one simulation run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct RunMetrics {
     /// Per-cycle samples in time order.
     pub samples: Vec<CycleSample>,
@@ -318,213 +316,102 @@ impl RunMetrics {
     }
 }
 
-// JSON conversions matching the checked-in `results/*.json` artifacts:
-// unit newtypes and ids render as plain numbers, absent optionals as
-// `null`.
+// JSON wire format of the `results/*.json` artifacts. Unit newtypes and
+// ids render as plain numbers, absent optionals as `null`. Fields that
+// older artifacts lack are defaulted on read; fields that only some runs
+// carry are omitted when unused, so artifacts of runs without them stay
+// byte-identical to older writers.
 
-/// Decodes an application or node id, rejecting values a `u32` cannot
-/// hold. These used to be truncated with `as u32`, so a corrupt artifact
-/// with app `4294967297` silently decoded as app `1`.
-fn decode_id(raw: u64, what: &str) -> Result<u32, JsonError> {
-    u32::try_from(raw).map_err(|_| JsonError {
-        message: format!("{what} id {raw} is out of range (max {})", u32::MAX),
-    })
-}
+json_object!(CycleSample {
+    time,
+    batch_hypothetical_rp: default,
+    txn_rp: default,
+    batch_allocation,
+    txn_allocation,
+    running_jobs,
+    waiting_jobs,
+    placement_compute_secs,
+    pending_actions: default,
+    rigid_utilization: default omit_if empty,
+});
 
-impl ToJson for CycleSample {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("time", self.time.as_secs().to_json()),
-            (
-                "batch_hypothetical_rp",
-                self.batch_hypothetical_rp.map(|u| u.value()).to_json(),
-            ),
-            ("txn_rp", self.txn_rp.map(|u| u.value()).to_json()),
-            ("batch_allocation", self.batch_allocation.as_mhz().to_json()),
-            ("txn_allocation", self.txn_allocation.as_mhz().to_json()),
-            ("running_jobs", self.running_jobs.to_json()),
-            ("waiting_jobs", self.waiting_jobs.to_json()),
-            (
-                "placement_compute_secs",
-                self.placement_compute_secs.to_json(),
-            ),
-            ("pending_actions", self.pending_actions.to_json()),
-        ];
-        // Only multi-dimensional deployments carry the field, so
-        // memory-only artifacts stay byte-identical to older writers.
-        if !self.rigid_utilization.is_empty() {
-            fields.push(("rigid_utilization", self.rigid_utilization.to_json()));
-        }
-        obj(fields)
-    }
-}
+json_object!(RigidDimSample {
+    dim,
+    used,
+    capacity,
+});
 
-impl FromJson for CycleSample {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CycleSample {
-            time: SimTime::from_secs(v.field("time")?),
-            batch_hypothetical_rp: v
-                .field_or::<Option<f64>>("batch_hypothetical_rp")?
-                .map(Rp::new),
-            txn_rp: v.field_or::<Option<f64>>("txn_rp")?.map(Rp::new),
-            batch_allocation: CpuSpeed::from_mhz(v.field("batch_allocation")?),
-            txn_allocation: CpuSpeed::from_mhz(v.field("txn_allocation")?),
-            running_jobs: v.field("running_jobs")?,
-            waiting_jobs: v.field("waiting_jobs")?,
-            placement_compute_secs: v.field("placement_compute_secs")?,
-            // Absent in artifacts written before fallible actuation.
-            pending_actions: v.field_or("pending_actions")?,
-            // Absent in memory-only artifacts.
-            rigid_utilization: v.field_or("rigid_utilization")?,
-        })
-    }
-}
+json_object!(CompletionRecord {
+    app,
+    arrival,
+    completion,
+    deadline,
+    distance,
+    rp,
+    goal_factor,
+    met_deadline,
+});
 
-impl ToJson for RigidDimSample {
-    fn to_json(&self) -> Json {
-        obj([
-            ("dim", self.dim.to_json()),
-            ("used", self.used.to_json()),
-            ("capacity", self.capacity.to_json()),
-        ])
-    }
-}
+json_object!(ChangeCounters {
+    starts,
+    suspends,
+    resumes,
+    migrations,
+});
 
-impl FromJson for RigidDimSample {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RigidDimSample {
-            dim: v.field("dim")?,
-            used: v.field("used")?,
-            capacity: v.field("capacity")?,
-        })
-    }
-}
+json_object!(ActuationCounters: Default {
+    failed_ops,
+    timed_out_ops,
+    retries,
+    deferrals,
+    quarantines,
+    fill_only_fallbacks,
+    deadline_truncations,
+    invariant_skips,
+});
 
-impl ToJson for CompletionRecord {
-    fn to_json(&self) -> Json {
-        obj([
-            ("app", (self.app.index() as u64).to_json()),
-            ("arrival", self.arrival.as_secs().to_json()),
-            ("completion", self.completion.as_secs().to_json()),
-            ("deadline", self.deadline.as_secs().to_json()),
-            ("distance", self.distance.as_secs().to_json()),
-            ("rp", self.rp.value().to_json()),
-            ("goal_factor", self.goal_factor.to_json()),
-            ("met_deadline", self.met_deadline.to_json()),
-        ])
-    }
-}
+json_object!(ObservationCounters: Default {
+    missed_heartbeats,
+    lost_reports,
+    suspects,
+    deaths,
+    reinstatements,
+    stale_holds,
+    fill_only_degrades,
+});
 
-impl FromJson for CompletionRecord {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CompletionRecord {
-            app: AppId::new(decode_id(v.field::<u64>("app")?, "app")?),
-            arrival: SimTime::from_secs(v.field("arrival")?),
-            completion: SimTime::from_secs(v.field("completion")?),
-            deadline: SimTime::from_secs(v.field("deadline")?),
-            distance: SimDuration::from_secs(v.field("distance")?),
-            rp: Rp::new(v.field("rp")?),
-            goal_factor: v.field("goal_factor")?,
-            met_deadline: v.field("met_deadline")?,
-        })
-    }
-}
+json_object!(StarvationReport { time, apps });
 
-impl ToJson for ChangeCounters {
-    fn to_json(&self) -> Json {
-        obj([
-            ("starts", self.starts.to_json()),
-            ("suspends", self.suspends.to_json()),
-            ("resumes", self.resumes.to_json()),
-            ("migrations", self.migrations.to_json()),
-        ])
-    }
-}
+json_object!(CompletionTotals {
+    count,
+    met_deadlines,
+    sum_rp,
+});
 
-impl FromJson for ChangeCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ChangeCounters {
-            starts: v.field("starts")?,
-            suspends: v.field("suspends")?,
-            resumes: v.field("resumes")?,
-            migrations: v.field("migrations")?,
-        })
-    }
-}
+json_object!(RunMetrics {
+    samples,
+    completions,
+    totals: default omit_if none,
+    changes,
+    actuation: default,
+    observation: default omit_if default,
+    placements: default,
+    starvation: default,
+});
 
-impl ToJson for ActuationCounters {
-    fn to_json(&self) -> Json {
-        obj([
-            ("failed_ops", self.failed_ops.to_json()),
-            ("timed_out_ops", self.timed_out_ops.to_json()),
-            ("retries", self.retries.to_json()),
-            ("deferrals", self.deferrals.to_json()),
-            ("quarantines", self.quarantines.to_json()),
-            ("fill_only_fallbacks", self.fill_only_fallbacks.to_json()),
-            ("deadline_truncations", self.deadline_truncations.to_json()),
-            ("invariant_skips", self.invariant_skips.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ActuationCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ActuationCounters {
-            failed_ops: v.field_or("failed_ops")?,
-            timed_out_ops: v.field_or("timed_out_ops")?,
-            retries: v.field_or("retries")?,
-            deferrals: v.field_or("deferrals")?,
-            quarantines: v.field_or("quarantines")?,
-            fill_only_fallbacks: v.field_or("fill_only_fallbacks")?,
-            deadline_truncations: v.field_or("deadline_truncations")?,
-            invariant_skips: v.field_or("invariant_skips")?,
-        })
-    }
-}
-
-impl ToJson for ObservationCounters {
-    fn to_json(&self) -> Json {
-        obj([
-            ("missed_heartbeats", self.missed_heartbeats.to_json()),
-            ("lost_reports", self.lost_reports.to_json()),
-            ("suspects", self.suspects.to_json()),
-            ("deaths", self.deaths.to_json()),
-            ("reinstatements", self.reinstatements.to_json()),
-            ("stale_holds", self.stale_holds.to_json()),
-            ("fill_only_degrades", self.fill_only_degrades.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ObservationCounters {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ObservationCounters {
-            missed_heartbeats: v.field_or("missed_heartbeats")?,
-            lost_reports: v.field_or("lost_reports")?,
-            suspects: v.field_or("suspects")?,
-            deaths: v.field_or("deaths")?,
-            reinstatements: v.field_or("reinstatements")?,
-            stale_holds: v.field_or("stale_holds")?,
-            fill_only_degrades: v.field_or("fill_only_degrades")?,
-        })
-    }
-}
-
+/// `{"time": t, "instances": [[app, node, count], ...]}`: the placement
+/// as triples, not a named-field object.
 impl ToJson for PlacementRecord {
     fn to_json(&self) -> Json {
         let instances: Vec<Json> = self
             .placement
             .iter()
             .map(|(app, node, count)| {
-                Json::Arr(vec![
-                    (app.index() as u64).to_json(),
-                    (node.index() as u64).to_json(),
-                    u64::from(count).to_json(),
-                ])
+                Json::Arr(vec![app.to_json(), node.to_json(), count.to_json()])
             })
             .collect();
         obj([
-            ("time", self.time.as_secs().to_json()),
+            ("time", self.time.to_json()),
             ("instances", Json::Arr(instances)),
         ])
     }
@@ -532,135 +419,26 @@ impl ToJson for PlacementRecord {
 
 impl FromJson for PlacementRecord {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let triples: Vec<(u64, (u64, u64))> = match v.get("instances") {
-            Some(Json::Arr(items)) => items
-                .iter()
-                .map(|item| {
-                    let arr = item.as_arr().ok_or_else(|| JsonError {
-                        message: "placement instance must be an array".into(),
-                    })?;
-                    match arr {
-                        [a, n, c] => {
-                            Ok((u64::from_json(a)?, (u64::from_json(n)?, u64::from_json(c)?)))
-                        }
-                        _ => Err(JsonError {
-                            message: "placement instance must be [app, node, count]".into(),
-                        }),
-                    }
-                })
-                .collect::<Result<_, _>>()?,
-            _ => {
-                return Err(JsonError {
-                    message: "placement record missing instances".into(),
-                })
-            }
+        let Some(Json::Arr(items)) = v.get("instances") else {
+            return Err(JsonError {
+                message: "placement record missing instances".into(),
+            });
         };
         let mut placement = Placement::new();
-        for (app, (node, count)) in triples {
-            let app = AppId::new(decode_id(app, "app")?);
-            let node = NodeId::new(decode_id(node, "node")?);
-            for _ in 0..count {
+        for item in items {
+            let Some([app, node, count]) = item.as_arr() else {
+                return Err(JsonError {
+                    message: "placement instance must be [app, node, count]".into(),
+                });
+            };
+            let (app, node) = (AppId::from_json(app)?, NodeId::from_json(node)?);
+            for _ in 0..u32::from_json(count)? {
                 placement.place(app, node);
             }
         }
         Ok(PlacementRecord {
-            time: SimTime::from_secs(v.field("time")?),
+            time: v.field("time")?,
             placement,
-        })
-    }
-}
-
-impl ToJson for StarvationReport {
-    fn to_json(&self) -> Json {
-        let apps: Vec<Json> = self
-            .apps
-            .iter()
-            .map(|a| (a.index() as u64).to_json())
-            .collect();
-        obj([
-            ("time", self.time.as_secs().to_json()),
-            ("apps", Json::Arr(apps)),
-        ])
-    }
-}
-
-impl FromJson for StarvationReport {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let apps: Vec<u64> = v.field("apps")?;
-        Ok(StarvationReport {
-            time: SimTime::from_secs(v.field("time")?),
-            apps: apps
-                .into_iter()
-                .map(|a| Ok(AppId::new(decode_id(a, "app")?)))
-                .collect::<Result<_, JsonError>>()?,
-        })
-    }
-}
-
-impl ToJson for CompletionTotals {
-    fn to_json(&self) -> Json {
-        obj([
-            ("count", self.count.to_json()),
-            ("met_deadlines", self.met_deadlines.to_json()),
-            ("sum_rp", self.sum_rp.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CompletionTotals {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(CompletionTotals {
-            count: v.field("count")?,
-            met_deadlines: v.field("met_deadlines")?,
-            sum_rp: v.field("sum_rp")?,
-        })
-    }
-}
-
-impl ToJson for RunMetrics {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("samples", self.samples.to_json()),
-            ("completions", self.completions.to_json()),
-        ];
-        // Only aggregate-retention runs carry the field, so full-record
-        // artifacts stay byte-identical to older writers.
-        if let Some(totals) = &self.totals {
-            fields.push(("totals", totals.to_json()));
-        }
-        fields.extend([
-            ("changes", self.changes.to_json()),
-            ("actuation", self.actuation.to_json()),
-        ]);
-        // Only runs with an active observation layer carry the field, so
-        // perfect-telemetry artifacts stay byte-identical to older
-        // writers.
-        if self.observation != ObservationCounters::default() {
-            fields.push(("observation", self.observation.to_json()));
-        }
-        fields.push(("placements", self.placements.to_json()));
-        fields.push(("starvation", self.starvation.to_json()));
-        obj(fields)
-    }
-}
-
-impl FromJson for RunMetrics {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(RunMetrics {
-            samples: v.field("samples")?,
-            completions: v.field("completions")?,
-            // Absent everywhere but aggregate-retention streaming runs.
-            totals: v.field_or("totals")?,
-            changes: v.field("changes")?,
-            // Absent in artifacts written before fallible actuation.
-            actuation: v.field_or("actuation")?,
-            // Absent in perfect-telemetry artifacts (and everything
-            // written before the observation layer).
-            observation: v.field_or("observation")?,
-            // Absent in artifacts written before placements existed.
-            placements: v.field_or("placements")?,
-            // Absent in artifacts written before the starvation breaker.
-            starvation: v.field_or("starvation")?,
         })
     }
 }

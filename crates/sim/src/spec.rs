@@ -2,11 +2,10 @@
 //! serializable description instead of code, so experiments can be
 //! defined in JSON files and run by the `simulate` harness binary.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
-use dynaplace_json::{obj, FromJson, Json, JsonError, ToJson};
+use dynaplace_json::{json_object, obj, FromJson, Json, JsonError, ToJson};
 
 use dynaplace_model::cluster::Cluster;
 use dynaplace_model::ids::{AppId, NodeId};
@@ -33,12 +32,11 @@ use crate::source::{
 };
 
 /// A group of identical nodes.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeGroupSpec {
     /// How many nodes in this group.
     pub count: usize,
     /// Optional group name (diagnostics and duplicate detection).
-    #[serde(default)]
     pub name: Option<String>,
     /// CPU capacity per node, MHz.
     pub cpu_mhz: f64,
@@ -50,52 +48,11 @@ pub struct NodeGroupSpec {
     /// default to zero capacity. On the wire the block also accepts
     /// `cpu_mhz` / `memory_mb` entries, which canonicalize to the
     /// dedicated fields above.
-    #[serde(default)]
     pub resources: BTreeMap<String, f64>,
 }
 
-/// Which scheduler drives the run.
-///
-/// Retired: [`ScenarioSpec::scheduler`] is a policy *name* now, resolved
-/// against the [`dynaplace_apc::PolicyRegistry`], so any registered
-/// policy (builtin or custom) can drive a scenario.
-#[deprecated(
-    since = "0.6.0",
-    note = "set `ScenarioSpec::scheduler` to a registry policy name (e.g. \"apc\", \"fcfs\") instead"
-)]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "lowercase")]
-pub enum SchedulerSpec {
-    /// The paper's placement controller.
-    Apc,
-    /// First-Come, First-Served.
-    Fcfs,
-    /// Earliest Deadline First.
-    Edf,
-}
-
-#[allow(deprecated)]
-impl SchedulerSpec {
-    /// The registry name this variant maps to.
-    pub fn policy_name(&self) -> &'static str {
-        match self {
-            SchedulerSpec::Apc => "apc",
-            SchedulerSpec::Fcfs => "fcfs",
-            SchedulerSpec::Edf => "edf",
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<SchedulerSpec> for String {
-    fn from(spec: SchedulerSpec) -> Self {
-        spec.policy_name().to_string()
-    }
-}
-
 /// How job arrival times are generated.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone)]
 pub enum ArrivalSpec {
     /// Exponential inter-arrival times with the given mean (seconds).
     Exponential {
@@ -113,8 +70,7 @@ pub enum ArrivalSpec {
 }
 
 /// How a job's deadline is derived.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone)]
 pub enum GoalSpec {
     /// Deadline = arrival + factor × best execution time (the paper's
     /// relative goal factor).
@@ -124,13 +80,12 @@ pub enum GoalSpec {
 }
 
 /// A group of identical batch jobs.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct JobGroupSpec {
     /// Number of jobs submitted.
     pub count: usize,
     /// Optional group name (diagnostics and duplicate detection; shares
     /// a namespace with [`TxnSpec::name`]).
-    #[serde(default)]
     pub name: Option<String>,
     /// Total work per job, megacycles.
     pub work_mcycles: f64,
@@ -143,29 +98,21 @@ pub struct JobGroupSpec {
     /// Arrival process for this group.
     pub arrivals: ArrivalSpec,
     /// Parallel tasks per job (1 = ordinary job).
-    #[serde(default = "one")]
     pub tasks: u32,
     /// Optional job class tag (for on-the-fly profile estimation).
-    #[serde(default)]
     pub class: Option<String>,
     /// Per-task demand in each *extra* rigid dimension (beyond memory),
     /// keyed by declared dimension name; missing dimensions demand zero.
     /// The wire block also accepts a `memory_mb` entry, canonicalized to
     /// the dedicated field.
-    #[serde(default)]
     pub resources: BTreeMap<String, f64>,
 }
 
-fn one() -> u32 {
-    1
-}
-
 /// A transactional application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TxnSpec {
     /// Optional application name (diagnostics and duplicate detection;
     /// shares a namespace with [`JobGroupSpec::name`]).
-    #[serde(default)]
     pub name: Option<String>,
     /// Arrival rate, requests per second. A single value means constant;
     /// multiple (time, rate) steps describe a piecewise-constant curve.
@@ -184,13 +131,11 @@ pub struct TxnSpec {
     /// memory), keyed by declared dimension name; missing dimensions
     /// demand zero. The wire block also accepts a `memory_mb` entry,
     /// canonicalized to the dedicated field.
-    #[serde(default)]
     pub resources: BTreeMap<String, f64>,
 }
 
 /// Constant or stepped arrival rate.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(untagged)]
+#[derive(Debug, Clone)]
 pub enum RateSpec {
     /// Constant rate.
     Constant(f64),
@@ -203,29 +148,25 @@ pub enum RateSpec {
 /// drawn lazily by a [`crate::source::GenerativeSource`], so a scenario
 /// can describe day-long traces with hundreds of thousands of jobs
 /// without ever materializing them.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkloadSpec {
     /// Generated batch job streams.
-    #[serde(default)]
     pub batch_streams: Vec<BatchStreamSpec>,
     /// Generated transactional applications (registered at time zero).
-    #[serde(default)]
     pub txn_streams: Vec<TxnStreamSpec>,
 }
 
 /// One generated batch stream: an arrival process plus the job template
 /// every arrival instantiates.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BatchStreamSpec {
     /// Optional stream name (diagnostics and duplicate detection; shares
     /// the application namespace with jobs and txns).
-    #[serde(default)]
     pub name: Option<String>,
     /// The arrival process.
     pub process: ProcessSpec,
     /// Number of jobs to generate; `None` = unbounded, in which case the
     /// scenario must set `horizon_secs` to bound the stream.
-    #[serde(default)]
     pub count: Option<u64>,
     /// Total work per job, megacycles.
     pub work_mcycles: f64,
@@ -236,19 +177,15 @@ pub struct BatchStreamSpec {
     /// Deadline derivation.
     pub goal: GoalSpec,
     /// Parallel tasks per job (1 = ordinary job).
-    #[serde(default = "one")]
     pub tasks: u32,
     /// Optional job class tag.
-    #[serde(default)]
     pub class: Option<String>,
     /// Per-task demand in each *extra* rigid dimension (beyond memory).
-    #[serde(default)]
     pub resources: BTreeMap<String, f64>,
 }
 
 /// The stochastic arrival process of a generated batch stream.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone)]
 pub enum ProcessSpec {
     /// Homogeneous Poisson arrivals.
     Poisson {
@@ -320,11 +257,10 @@ impl ProcessSpec {
 }
 
 /// One generated transactional application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TxnStreamSpec {
     /// Optional name (shares the application namespace with jobs and
     /// txns).
-    #[serde(default)]
     pub name: Option<String>,
     /// The request-rate curve.
     pub curve: TxnCurveSpec,
@@ -339,13 +275,11 @@ pub struct TxnStreamSpec {
     /// Maximum instances.
     pub max_instances: u32,
     /// Per-instance demand in each *extra* rigid dimension.
-    #[serde(default)]
     pub resources: BTreeMap<String, f64>,
 }
 
 /// The request-rate curve of a generated transactional application.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
+#[derive(Debug, Clone)]
 pub enum TxnCurveSpec {
     /// Constant request rate.
     Constant {
@@ -397,7 +331,7 @@ impl TxnCurveSpec {
 /// One scripted node outage. The wire format is a 2- or 3-element array:
 /// `[offset_secs, node]` is a permanent failure (the historical form),
 /// `[offset_secs, node, duration_secs]` a transient one that recovers.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFailureSpec {
     /// Offset of the failure from the start of the run, seconds.
     pub at_secs: f64,
@@ -420,7 +354,7 @@ impl NodeFailureSpec {
 /// The fallible actuation layer, in scenario-file units. Every field
 /// defaults to the exactly-off [`ActuationConfig::default`], so scenarios
 /// written before this block existed behave bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActuationSpec {
     /// Per-operation failure probability, `[0, 1)`.
     pub failure_rate: f64,
@@ -487,7 +421,7 @@ impl ActuationSpec {
 /// Absent means perfect telemetry — the engine skips the layer entirely
 /// and runs bit-identically to a simulator without one (APC only, like
 /// `sharding`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObservationSpec {
     /// Per-source/per-cycle report loss probability, `[0, 1)`.
     pub heartbeat_loss: f64,
@@ -564,7 +498,7 @@ impl ObservationSpec {
 /// Decision-provenance tracing (see `dynaplace-trace`), in scenario-file
 /// form. Absent, or present without a `path`, means tracing is off and
 /// the run is bit-identical to an untraced one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSpec {
     /// JSONL output path; `None` disables tracing entirely.
     pub path: Option<String>,
@@ -594,16 +528,14 @@ impl TraceSpec {
 /// Cell-sharded placement (APC only), in scenario-file form. Absent
 /// means the classic single-cell search — bit-identical to every
 /// scenario written before sharding existed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardingSpec {
     /// Nodes per cell (see `dynaplace_apc::ShardingPolicy::cell_size`).
     pub cell_size: usize,
     /// Maximum cross-cell rebalance moves per cycle; `0` disables the
     /// rebalancer.
-    #[serde(default = "default_rebalance_moves")]
     pub rebalance_moves: usize,
     /// Minimum global satisfaction gain a rebalance move must clear.
-    #[serde(default = "default_rebalance_threshold")]
     pub rebalance_threshold: f64,
 }
 
@@ -857,10 +789,9 @@ impl std::error::Error for ScenarioError {}
 /// let metrics = spec.build().run();
 /// assert_eq!(metrics.completions.len(), 3);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioSpec {
     /// RNG seed for stochastic arrival processes.
-    #[serde(default)]
     pub seed: u64,
     /// The scheduler: a policy name (or alias) resolved against the
     /// [`dynaplace_apc::PolicyRegistry`] — `"apc"`, `"fcfs"`, `"edf"`,
@@ -871,16 +802,13 @@ pub struct ScenarioSpec {
     /// Control cycle length, seconds.
     pub cycle_secs: f64,
     /// Optional hard stop, seconds.
-    #[serde(default)]
     pub horizon_secs: Option<f64>,
     /// Disable the paper's VM operation costs.
-    #[serde(default)]
     pub free_vm_costs: bool,
     /// Extra rigid resource dimensions, in registry order. `memory_mb`
     /// is always implicit (dimension 0) and must not be restated here.
     /// An empty list is the classic memory-only model, bit-identical to
     /// scenarios written before this field existed.
-    #[serde(default)]
     pub resources: Vec<String>,
     /// Node groups.
     pub nodes: Vec<NodeGroupSpec>,
@@ -891,31 +819,24 @@ pub struct ScenarioSpec {
     /// Generative streaming workload (see [`WorkloadSpec`]); absent =
     /// the classic fully materialized model, bit-identical to scenarios
     /// written before this block existed.
-    #[serde(default)]
     pub workload: Option<WorkloadSpec>,
     /// Scripted node failures (see [`NodeFailureSpec`] for the wire
     /// format). Node indices are validated against the cluster size at
     /// load time.
-    #[serde(default)]
     pub node_failures: Vec<NodeFailureSpec>,
     /// The fallible actuation layer; defaults to exactly-off.
-    #[serde(default)]
     pub actuation: ActuationSpec,
     /// Optional wall-clock budget for each optimization run, seconds
     /// (APC only). Makes the chosen placement depend on machine speed —
     /// leave unset for reproducible runs.
-    #[serde(default)]
     pub deadline_secs: Option<f64>,
     /// Cell-sharded placement (APC only); absent = classic single-cell.
-    #[serde(default)]
     pub sharding: Option<ShardingSpec>,
     /// The imperfect-telemetry observation layer (APC only); absent =
     /// perfect telemetry, bit-identical to scenarios written before the
     /// layer existed.
-    #[serde(default)]
     pub observation: Option<ObservationSpec>,
     /// Decision-provenance tracing; defaults to off.
-    #[serde(default)]
     pub trace: TraceSpec,
 }
 
@@ -1593,17 +1514,10 @@ impl ScenarioSpec {
     pub fn build_checked(&self) -> Result<Simulation, ScenarioError> {
         self.validate()?;
         let mut sim = self.empty_simulation();
-        for submission in self.classic_submissions().0 {
-            sim.admit(submission);
-        }
-        // Lock-step compatibility mode for generative workloads: drain
-        // the source streaming mode would attach, registering every
-        // generated submission up front through the same admission path
-        // (and therefore under the same application ids).
-        let mut generated = self.generative_source();
-        while let Some(submission) = generated.next() {
-            sim.admit(submission);
-        }
+        // Lock-step mode: drain the source streaming mode attaches, so
+        // every submission is registered up front through the same
+        // admission path, in the same order, under the same ids.
+        sim.admit_all(self.workload_source());
         Ok(sim)
     }
 
@@ -1635,25 +1549,31 @@ impl ScenarioSpec {
     pub fn build_streaming_checked(&self) -> Result<Simulation, ScenarioError> {
         self.validate()?;
         let mut sim = self.empty_simulation();
+        sim.attach_source(Box::new(self.workload_source()));
+        Ok(sim)
+    }
+
+    /// Every submission of the scenario as one time-ordered source: the
+    /// classic submissions merged with the generated streams. Both build
+    /// modes admit from it — streaming lazily, lock-step up front.
+    fn workload_source(&self) -> MergedSource {
         let (mut classic, reserved) = self.classic_submissions();
         // Stable sort: same-instant submissions keep declaration order,
         // and the zero-time txn registrations move ahead of every job —
-        // the order the lock-step event queue fires them in.
+        // the order the event queue fires them in.
         classic.sort_by(|a, b| a.time().as_secs().total_cmp(&b.time().as_secs()));
         let mut merged = MergedSource::new();
         merged.push(Box::new(ScenarioSource::from_parts(classic, reserved)));
         if self.workload.is_some() {
             merged.push(Box::new(self.generative_source()));
         }
-        sim.attach_source(Box::new(merged));
-        Ok(sim)
+        merged
     }
 
     /// Materializes every submission the `workload` block generates, in
-    /// admission order — the order the lock-step build drains the
-    /// [`GenerativeSource`] in, which is also the order streaming mode
-    /// assigns their application ids (time order: zero-time txn
-    /// registrations first, then batch jobs by arrival). Intended for
+    /// admission order — the order both build modes assign their
+    /// application ids in (time order: zero-time txn registrations
+    /// first, then batch jobs by arrival). Intended for
     /// oracles and tests that re-derive per-app expectations from the
     /// spec alone; streaming runs themselves never materialize this
     /// list.
@@ -1859,106 +1779,167 @@ impl ScenarioSpec {
     }
 }
 
-// Explicit JSON conversions. The wire format is the one the checked-in
-// scenario files use: lowercase scheduler names, externally tagged
-// snake_case enum payloads, an untagged constant-or-steps rate, and
-// defaults for seed / horizon_secs / free_vm_costs / tasks / class /
-// node_failures.
+// JSON wire format: the one the checked-in scenario files use. Each
+// named-field object is one `json_object!` table (keys, read defaults and
+// omission rules); optional blocks and extras are omitted when unused so
+// older scenarios render byte-identically. Tagged enums (externally
+// tagged, snake_case), the untagged constant-or-steps rate and the
+// node-failure arrays are hand-written below.
 
-/// Serializes an extras block (`{name: value}`); callers emit it only
-/// when non-empty so legacy scenarios render byte-identically.
-fn resources_to_json(block: &BTreeMap<String, f64>) -> Json {
-    Json::Obj(
-        block
-            .iter()
-            .map(|(name, value)| (name.clone(), value.to_json()))
-            .collect(),
-    )
-}
-
-/// Parses an optional extras block into a name → value map.
-fn resources_from_json(v: Option<&Json>) -> Result<BTreeMap<String, f64>, JsonError> {
-    match v {
-        None | Some(Json::Null) => Ok(BTreeMap::new()),
-        Some(Json::Obj(fields)) => fields
-            .iter()
-            .map(|(name, value)| Ok((name.clone(), f64::from_json(value)?)))
-            .collect(),
-        Some(other) => Err(JsonError {
-            message: format!("resources must be an object of name: value pairs, got {other:?}"),
-        }),
+/// Canonicalizes legacy scalars out of a group's `resources` block, in
+/// front of the group's field table. A scalar may sit at the top level
+/// (the historical layout) or inside `resources`; the top level wins
+/// when both are present, and the block entry is consumed either way so
+/// only true extras remain in the map. A group with no such block entry
+/// is borrowed unchanged.
+fn canonical_scalars<'a>(v: &'a Json, keys: &[&str]) -> Cow<'a, Json> {
+    let (Json::Obj(fields), Some(Json::Obj(block))) = (v, v.get("resources")) else {
+        return Cow::Borrowed(v);
+    };
+    if !block.iter().any(|(key, _)| keys.contains(&key.as_str())) {
+        return Cow::Borrowed(v);
     }
-}
-
-/// Canonicalizes one legacy scalar out of an extras block: the value may
-/// sit at the top level (the historical layout) or inside `resources`;
-/// the top level wins when both are present, and the block entry is
-/// consumed either way so only true extras remain in the map.
-fn canonical_scalar(
-    v: &Json,
-    block: &mut BTreeMap<String, f64>,
-    key: &str,
-    context: &str,
-) -> Result<f64, JsonError> {
-    let from_block = block.remove(key);
-    match v.get(key) {
-        Some(value) => f64::from_json(value),
-        None => from_block.ok_or_else(|| JsonError {
-            message: format!("{context} is missing {key}"),
-        }),
-    }
-}
-
-impl ToJson for NodeGroupSpec {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![("count", self.count.to_json())];
-        if let Some(name) = &self.name {
-            fields.push(("name", Json::Str(name.clone())));
-        }
-        fields.push(("cpu_mhz", self.cpu_mhz.to_json()));
-        fields.push(("memory_mb", self.memory_mb.to_json()));
-        if !self.resources.is_empty() {
-            fields.push(("resources", resources_to_json(&self.resources)));
-        }
-        obj(fields)
-    }
-}
-
-impl FromJson for NodeGroupSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut resources = resources_from_json(v.get("resources"))?;
-        let cpu_mhz = canonical_scalar(v, &mut resources, "cpu_mhz", "node group")?;
-        let memory_mb = canonical_scalar(v, &mut resources, "memory_mb", "node group")?;
-        Ok(NodeGroupSpec {
-            count: v.field("count")?,
-            name: v.field_or("name")?,
-            cpu_mhz,
-            memory_mb,
-            resources,
-        })
-    }
-}
-
-#[allow(deprecated)]
-impl ToJson for SchedulerSpec {
-    fn to_json(&self) -> Json {
-        Json::Str(self.policy_name().to_string())
-    }
-}
-
-#[allow(deprecated)]
-impl FromJson for SchedulerSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v.as_str() {
-            Some("apc") => Ok(SchedulerSpec::Apc),
-            Some("fcfs") => Ok(SchedulerSpec::Fcfs),
-            Some("edf") => Ok(SchedulerSpec::Edf),
-            _ => Err(JsonError {
-                message: format!("unknown scheduler {v:?}; expected apc|fcfs|edf"),
-            }),
+    let mut fields: Vec<(String, Json)> = fields
+        .iter()
+        .filter(|(key, _)| key != "resources")
+        .cloned()
+        .collect();
+    let mut extras = Vec::new();
+    for (key, value) in block {
+        if !keys.contains(&key.as_str()) {
+            extras.push((key.clone(), value.clone()));
+        } else if v.get(key).is_none() {
+            fields.push((key.clone(), value.clone()));
         }
     }
+    fields.push(("resources".to_string(), Json::Obj(extras)));
+    Cow::Owned(Json::Obj(fields))
 }
+
+fn node_scalars(v: &Json) -> Cow<'_, Json> {
+    canonical_scalars(v, &["cpu_mhz", "memory_mb"])
+}
+
+fn app_scalars(v: &Json) -> Cow<'_, Json> {
+    canonical_scalars(v, &["memory_mb"])
+}
+
+json_object!(NodeGroupSpec, read_via = node_scalars {
+    count,
+    name: default omit_if none,
+    cpu_mhz,
+    memory_mb,
+    resources: default omit_if empty,
+});
+
+json_object!(JobGroupSpec, read_via = app_scalars {
+    count,
+    name: default omit_if none,
+    work_mcycles,
+    max_speed_mhz,
+    memory_mb,
+    goal,
+    arrivals,
+    tasks: default(1),
+    class: default,
+    resources: default omit_if empty,
+});
+
+json_object!(TxnSpec, read_via = app_scalars {
+    name: default omit_if none,
+    rate,
+    demand_mcycles,
+    floor_secs,
+    goal_secs,
+    memory_mb,
+    max_instances,
+    resources: default omit_if empty,
+});
+
+json_object!(WorkloadSpec {
+    batch_streams: default,
+    txn_streams: default,
+});
+
+json_object!(BatchStreamSpec {
+    name: default omit_if none,
+    process,
+    count: default,
+    work_mcycles,
+    max_speed_mhz,
+    memory_mb,
+    goal,
+    tasks: default(1),
+    class: default,
+    resources: default omit_if empty,
+});
+
+json_object!(TxnStreamSpec {
+    name: default omit_if none,
+    curve,
+    demand_mcycles,
+    floor_secs,
+    goal_secs,
+    memory_mb,
+    max_instances,
+    resources: default omit_if empty,
+});
+
+json_object!(ActuationSpec: Default {
+    failure_rate,
+    latency_jitter,
+    timeout_secs,
+    fail_until_secs,
+    seed,
+    base_backoff_secs,
+    backoff_factor,
+    max_backoff_secs,
+    quarantine_after,
+    quarantine_secs,
+    fallback_after,
+});
+
+json_object!(ObservationSpec: Default {
+    heartbeat_loss,
+    max_staleness_cycles,
+    noise,
+    loss_until_secs,
+    seed,
+    suspect_after,
+    dead_after,
+    reinstate_after,
+    ewma_alpha,
+    headroom,
+    staleness_budget_cycles,
+    degraded_mode,
+});
+
+json_object!(TraceSpec: Default { path, level });
+
+json_object!(ShardingSpec {
+    cell_size,
+    rebalance_moves: default(default_rebalance_moves()),
+    rebalance_threshold: default(default_rebalance_threshold()),
+});
+
+json_object!(ScenarioSpec {
+    seed: default,
+    scheduler,
+    cycle_secs,
+    horizon_secs: default,
+    free_vm_costs: default,
+    resources: default omit_if empty,
+    nodes,
+    jobs,
+    txns,
+    workload: default omit_if none,
+    node_failures: default,
+    actuation: default,
+    deadline_secs: default,
+    sharding: default,
+    observation: default omit_if none,
+    trace: default,
+});
 
 impl ToJson for ArrivalSpec {
     fn to_json(&self) -> Json {
@@ -2014,149 +1995,6 @@ impl FromJson for GoalSpec {
                 message: "goal must be factor|relative_secs".to_string(),
             })
         }
-    }
-}
-
-impl ToJson for JobGroupSpec {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![("count", self.count.to_json())];
-        if let Some(name) = &self.name {
-            fields.push(("name", Json::Str(name.clone())));
-        }
-        fields.extend([
-            ("work_mcycles", self.work_mcycles.to_json()),
-            ("max_speed_mhz", self.max_speed_mhz.to_json()),
-            ("memory_mb", self.memory_mb.to_json()),
-            ("goal", self.goal.to_json()),
-            ("arrivals", self.arrivals.to_json()),
-            ("tasks", self.tasks.to_json()),
-            ("class", self.class.to_json()),
-        ]);
-        if !self.resources.is_empty() {
-            fields.push(("resources", resources_to_json(&self.resources)));
-        }
-        obj(fields)
-    }
-}
-
-impl FromJson for JobGroupSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut resources = resources_from_json(v.get("resources"))?;
-        let memory_mb = canonical_scalar(v, &mut resources, "memory_mb", "job group")?;
-        Ok(JobGroupSpec {
-            count: v.field("count")?,
-            name: v.field_or("name")?,
-            work_mcycles: v.field("work_mcycles")?,
-            max_speed_mhz: v.field("max_speed_mhz")?,
-            memory_mb,
-            goal: v.field("goal")?,
-            arrivals: v.field("arrivals")?,
-            tasks: match v.get("tasks") {
-                None => one(),
-                Some(t) => u32::from_json(t)?,
-            },
-            class: v.field_or("class")?,
-            resources,
-        })
-    }
-}
-
-impl ToJson for TxnSpec {
-    fn to_json(&self) -> Json {
-        let mut fields = Vec::new();
-        if let Some(name) = &self.name {
-            fields.push(("name", Json::Str(name.clone())));
-        }
-        fields.extend([
-            ("rate", self.rate.to_json()),
-            ("demand_mcycles", self.demand_mcycles.to_json()),
-            ("floor_secs", self.floor_secs.to_json()),
-            ("goal_secs", self.goal_secs.to_json()),
-            ("memory_mb", self.memory_mb.to_json()),
-            ("max_instances", self.max_instances.to_json()),
-        ]);
-        if !self.resources.is_empty() {
-            fields.push(("resources", resources_to_json(&self.resources)));
-        }
-        obj(fields)
-    }
-}
-
-impl FromJson for TxnSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let mut resources = resources_from_json(v.get("resources"))?;
-        let memory_mb = canonical_scalar(v, &mut resources, "memory_mb", "txn")?;
-        Ok(TxnSpec {
-            name: v.field_or("name")?,
-            rate: v.field("rate")?,
-            demand_mcycles: v.field("demand_mcycles")?,
-            floor_secs: v.field("floor_secs")?,
-            goal_secs: v.field("goal_secs")?,
-            memory_mb,
-            max_instances: v.field("max_instances")?,
-            resources,
-        })
-    }
-}
-
-impl ToJson for WorkloadSpec {
-    fn to_json(&self) -> Json {
-        obj([
-            ("batch_streams", self.batch_streams.to_json()),
-            ("txn_streams", self.txn_streams.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WorkloadSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(WorkloadSpec {
-            batch_streams: v.field_or("batch_streams")?,
-            txn_streams: v.field_or("txn_streams")?,
-        })
-    }
-}
-
-impl ToJson for BatchStreamSpec {
-    fn to_json(&self) -> Json {
-        let mut fields = Vec::new();
-        if let Some(name) = &self.name {
-            fields.push(("name", Json::Str(name.clone())));
-        }
-        fields.extend([
-            ("process", self.process.to_json()),
-            ("count", self.count.to_json()),
-            ("work_mcycles", self.work_mcycles.to_json()),
-            ("max_speed_mhz", self.max_speed_mhz.to_json()),
-            ("memory_mb", self.memory_mb.to_json()),
-            ("goal", self.goal.to_json()),
-            ("tasks", self.tasks.to_json()),
-            ("class", self.class.to_json()),
-        ]);
-        if !self.resources.is_empty() {
-            fields.push(("resources", resources_to_json(&self.resources)));
-        }
-        obj(fields)
-    }
-}
-
-impl FromJson for BatchStreamSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(BatchStreamSpec {
-            name: v.field_or("name")?,
-            process: v.field("process")?,
-            count: v.field_or("count")?,
-            work_mcycles: v.field("work_mcycles")?,
-            max_speed_mhz: v.field("max_speed_mhz")?,
-            memory_mb: v.field("memory_mb")?,
-            goal: v.field("goal")?,
-            tasks: match v.get("tasks") {
-                None => one(),
-                Some(t) => u32::from_json(t)?,
-            },
-            class: v.field_or("class")?,
-            resources: resources_from_json(v.get("resources"))?,
-        })
     }
 }
 
@@ -2225,42 +2063,6 @@ impl FromJson for ProcessSpec {
                 message: "process must be poisson|mmpp|diurnal|flash_crowd".to_string(),
             })
         }
-    }
-}
-
-impl ToJson for TxnStreamSpec {
-    fn to_json(&self) -> Json {
-        let mut fields = Vec::new();
-        if let Some(name) = &self.name {
-            fields.push(("name", Json::Str(name.clone())));
-        }
-        fields.extend([
-            ("curve", self.curve.to_json()),
-            ("demand_mcycles", self.demand_mcycles.to_json()),
-            ("floor_secs", self.floor_secs.to_json()),
-            ("goal_secs", self.goal_secs.to_json()),
-            ("memory_mb", self.memory_mb.to_json()),
-            ("max_instances", self.max_instances.to_json()),
-        ]);
-        if !self.resources.is_empty() {
-            fields.push(("resources", resources_to_json(&self.resources)));
-        }
-        obj(fields)
-    }
-}
-
-impl FromJson for TxnStreamSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(TxnStreamSpec {
-            name: v.field_or("name")?,
-            curve: v.field("curve")?,
-            demand_mcycles: v.field("demand_mcycles")?,
-            floor_secs: v.field("floor_secs")?,
-            goal_secs: v.field("goal_secs")?,
-            memory_mb: v.field("memory_mb")?,
-            max_instances: v.field("max_instances")?,
-            resources: resources_from_json(v.get("resources"))?,
-        })
     }
 }
 
@@ -2356,127 +2158,6 @@ impl FromJson for NodeFailureSpec {
     }
 }
 
-impl ToJson for ActuationSpec {
-    fn to_json(&self) -> Json {
-        obj([
-            ("failure_rate", self.failure_rate.to_json()),
-            ("latency_jitter", self.latency_jitter.to_json()),
-            ("timeout_secs", self.timeout_secs.to_json()),
-            ("fail_until_secs", self.fail_until_secs.to_json()),
-            ("seed", self.seed.to_json()),
-            ("base_backoff_secs", self.base_backoff_secs.to_json()),
-            ("backoff_factor", self.backoff_factor.to_json()),
-            ("max_backoff_secs", self.max_backoff_secs.to_json()),
-            ("quarantine_after", self.quarantine_after.to_json()),
-            ("quarantine_secs", self.quarantine_secs.to_json()),
-            ("fallback_after", self.fallback_after.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ActuationSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let d = ActuationSpec::default();
-        Ok(ActuationSpec {
-            failure_rate: v.field_or_else("failure_rate", || d.failure_rate)?,
-            latency_jitter: v.field_or_else("latency_jitter", || d.latency_jitter)?,
-            timeout_secs: v.field_or("timeout_secs")?,
-            fail_until_secs: v.field_or("fail_until_secs")?,
-            seed: v.field_or_else("seed", || d.seed)?,
-            base_backoff_secs: v.field_or_else("base_backoff_secs", || d.base_backoff_secs)?,
-            backoff_factor: v.field_or_else("backoff_factor", || d.backoff_factor)?,
-            max_backoff_secs: v.field_or_else("max_backoff_secs", || d.max_backoff_secs)?,
-            quarantine_after: v.field_or_else("quarantine_after", || d.quarantine_after)?,
-            quarantine_secs: v.field_or_else("quarantine_secs", || d.quarantine_secs)?,
-            fallback_after: v.field_or_else("fallback_after", || d.fallback_after)?,
-        })
-    }
-}
-
-impl ToJson for ObservationSpec {
-    fn to_json(&self) -> Json {
-        obj([
-            ("heartbeat_loss", self.heartbeat_loss.to_json()),
-            ("max_staleness_cycles", self.max_staleness_cycles.to_json()),
-            ("noise", self.noise.to_json()),
-            ("loss_until_secs", self.loss_until_secs.to_json()),
-            ("seed", self.seed.to_json()),
-            ("suspect_after", self.suspect_after.to_json()),
-            ("dead_after", self.dead_after.to_json()),
-            ("reinstate_after", self.reinstate_after.to_json()),
-            ("ewma_alpha", self.ewma_alpha.to_json()),
-            ("headroom", self.headroom.to_json()),
-            (
-                "staleness_budget_cycles",
-                self.staleness_budget_cycles.to_json(),
-            ),
-            ("degraded_mode", Json::Str(self.degraded_mode.clone())),
-        ])
-    }
-}
-
-impl FromJson for ObservationSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let d = ObservationSpec::default();
-        Ok(ObservationSpec {
-            heartbeat_loss: v.field_or_else("heartbeat_loss", || d.heartbeat_loss)?,
-            max_staleness_cycles: v
-                .field_or_else("max_staleness_cycles", || d.max_staleness_cycles)?,
-            noise: v.field_or_else("noise", || d.noise)?,
-            loss_until_secs: v.field_or("loss_until_secs")?,
-            seed: v.field_or_else("seed", || d.seed)?,
-            suspect_after: v.field_or_else("suspect_after", || d.suspect_after)?,
-            dead_after: v.field_or_else("dead_after", || d.dead_after)?,
-            reinstate_after: v.field_or_else("reinstate_after", || d.reinstate_after)?,
-            ewma_alpha: v.field_or_else("ewma_alpha", || d.ewma_alpha)?,
-            headroom: v.field_or_else("headroom", || d.headroom)?,
-            staleness_budget_cycles: v
-                .field_or_else("staleness_budget_cycles", || d.staleness_budget_cycles)?,
-            degraded_mode: v.field_or_else("degraded_mode", || d.degraded_mode.clone())?,
-        })
-    }
-}
-
-impl ToJson for TraceSpec {
-    fn to_json(&self) -> Json {
-        obj([
-            ("path", self.path.to_json()),
-            ("level", Json::Str(self.level.clone())),
-        ])
-    }
-}
-
-impl FromJson for TraceSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        let d = TraceSpec::default();
-        Ok(TraceSpec {
-            path: v.field_or("path")?,
-            level: v.field_or_else("level", || d.level)?,
-        })
-    }
-}
-
-impl ToJson for ShardingSpec {
-    fn to_json(&self) -> Json {
-        obj([
-            ("cell_size", self.cell_size.to_json()),
-            ("rebalance_moves", self.rebalance_moves.to_json()),
-            ("rebalance_threshold", self.rebalance_threshold.to_json()),
-        ])
-    }
-}
-
-impl FromJson for ShardingSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ShardingSpec {
-            cell_size: v.field("cell_size")?,
-            rebalance_moves: v.field_or_else("rebalance_moves", default_rebalance_moves)?,
-            rebalance_threshold: v
-                .field_or_else("rebalance_threshold", default_rebalance_threshold)?,
-        })
-    }
-}
-
 impl ToJson for RateSpec {
     fn to_json(&self) -> Json {
         match self {
@@ -2495,63 +2176,6 @@ impl FromJson for RateSpec {
                 message: "rate must be a number or a list of (secs, rate) steps".to_string(),
             }),
         }
-    }
-}
-
-impl ToJson for ScenarioSpec {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("seed", self.seed.to_json()),
-            ("scheduler", self.scheduler.to_json()),
-            ("cycle_secs", self.cycle_secs.to_json()),
-            ("horizon_secs", self.horizon_secs.to_json()),
-            ("free_vm_costs", self.free_vm_costs.to_json()),
-        ];
-        if !self.resources.is_empty() {
-            fields.push(("resources", self.resources.to_json()));
-        }
-        fields.extend([
-            ("nodes", self.nodes.to_json()),
-            ("jobs", self.jobs.to_json()),
-            ("txns", self.txns.to_json()),
-        ]);
-        if let Some(workload) = &self.workload {
-            fields.push(("workload", workload.to_json()));
-        }
-        fields.extend([
-            ("node_failures", self.node_failures.to_json()),
-            ("actuation", self.actuation.to_json()),
-            ("deadline_secs", self.deadline_secs.to_json()),
-            ("sharding", self.sharding.to_json()),
-        ]);
-        if let Some(observation) = &self.observation {
-            fields.push(("observation", observation.to_json()));
-        }
-        fields.push(("trace", self.trace.to_json()));
-        obj(fields)
-    }
-}
-
-impl FromJson for ScenarioSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        Ok(ScenarioSpec {
-            seed: v.field_or("seed")?,
-            scheduler: v.field("scheduler")?,
-            cycle_secs: v.field("cycle_secs")?,
-            horizon_secs: v.field_or("horizon_secs")?,
-            free_vm_costs: v.field_or("free_vm_costs")?,
-            resources: v.field_or("resources")?,
-            nodes: v.field("nodes")?,
-            jobs: v.field("jobs")?,
-            txns: v.field("txns")?,
-            workload: v.field_or("workload")?,
-            node_failures: v.field_or("node_failures")?,
-            actuation: v.field_or_else("actuation", ActuationSpec::default)?,
-            deadline_secs: v.field_or("deadline_secs")?,
-            sharding: v.field_or("sharding")?,
-            observation: v.field_or("observation")?,
-            trace: v.field_or_else("trace", TraceSpec::default)?,
-        })
     }
 }
 
@@ -3281,6 +2905,40 @@ mod tests {
             spec.nodes[0].resources,
             BTreeMap::from([("disk_mb".to_string(), 8_000.0)])
         );
+        // The top level wins over the block, whose entry is consumed
+        // either way; jobs and txns canonicalize memory_mb only.
+        let group = |json: &str| JobGroupSpec::from_json(&Json::parse(json).unwrap());
+        let job = group(
+            r#"{ "count": 1, "work_mcycles": 1.0, "max_speed_mhz": 1.0,
+                 "memory_mb": 64.0, "goal": { "factor": 2.0 },
+                 "arrivals": { "at": [0.0] },
+                 "resources": { "memory_mb": 1.0, "disk_mb": 5.0 } }"#,
+        )
+        .unwrap();
+        assert_eq!(job.memory_mb, 64.0);
+        assert_eq!(
+            job.resources,
+            BTreeMap::from([("disk_mb".to_string(), 5.0)])
+        );
+        let txn = TxnSpec::from_json(
+            &Json::parse(
+                r#"{ "rate": 1.0, "demand_mcycles": 1.0, "floor_secs": 0.1,
+                     "goal_secs": 1.0, "max_instances": 1,
+                     "resources": { "memory_mb": 32.0, "cpu_mhz": 7.0 } }"#,
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert_eq!(txn.memory_mb, 32.0);
+        assert_eq!(
+            txn.resources,
+            BTreeMap::from([("cpu_mhz".to_string(), 7.0)])
+        );
+        let err = NodeGroupSpec::from_json(
+            &Json::parse(r#"{ "count": 1, "resources": { "memory_mb": 1.0 } }"#).unwrap(),
+        )
+        .unwrap_err();
+        assert_eq!(err.message, "missing field 'cpu_mhz'");
         // Memory-only scenarios render without any resources fields, so
         // checked-in legacy files and goldens stay byte-stable.
         let legacy = minimal("apc");

@@ -20,15 +20,13 @@
 //! t(ω) = max(t_floor, 1 / (μ − λ)) = max(t_floor, d / (ω − λ·d))
 //! ```
 
-use serde::{Deserialize, Serialize};
-
 use dynaplace_model::units::{CpuSpeed, SimDuration};
 use dynaplace_rpf::goal::ResponseTimeGoal;
 use dynaplace_rpf::model::PerformanceModel;
 use dynaplace_rpf::value::Rp;
 
 /// Workload parameters of one transactional application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxnWorkload {
     /// Request arrival rate λ, in requests per second.
     pub arrival_rate: f64,
@@ -108,7 +106,7 @@ impl TxnWorkload {
 /// let at_saturation = model.max_useful_demand();
 /// assert!((at_saturation.as_mhz() - 130_000.0).abs() < 100.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxnPerformanceModel {
     workload: TxnWorkload,
     goal: ResponseTimeGoal,

@@ -8,8 +8,6 @@
 //! beyond that are queued/shed at the gateway rather than melting the
 //! server, after Pacifici et al.).
 
-use serde::{Deserialize, Serialize};
-
 use dynaplace_model::units::{CpuSpeed, SimDuration};
 
 use crate::model::TxnWorkload;
@@ -18,7 +16,7 @@ use crate::model::TxnWorkload;
 pub const DEFAULT_MAX_UTILIZATION: f64 = 0.99;
 
 /// Load and modeled behaviour of one application instance after routing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceLoad {
     /// Request rate admitted to this instance (req/s).
     pub admitted_rate: f64,
@@ -31,7 +29,7 @@ pub struct InstanceLoad {
 }
 
 /// Result of routing one application's traffic over its instances.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingOutcome {
     /// Per-instance loads, in the order the allocations were given.
     pub instances: Vec<InstanceLoad>,
@@ -52,7 +50,7 @@ impl RoutingOutcome {
 }
 
 /// Weighted-balancing request router for one transactional application.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestRouter {
     max_utilization: f64,
 }

@@ -104,8 +104,6 @@ pub mod prelude {
     pub use dynaplace_model::prelude::*;
     pub use dynaplace_rpf::goal::CompletionGoal;
     pub use dynaplace_sim::costs::VmCostModel;
-    #[allow(deprecated)]
-    pub use dynaplace_sim::engine::SchedulerKind;
     pub use dynaplace_sim::engine::{SimConfig, Simulation};
     pub use dynaplace_sim::spec::{ScenarioSpec, ShardingSpec};
     pub use dynaplace_trace::{JsonlSink, NoopSink, TraceEvent, TraceLevel, TraceSink};
