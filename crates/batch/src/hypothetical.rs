@@ -176,24 +176,26 @@ impl JobSnapshot {
     /// Average speed the job must sustain from `now` over its remaining
     /// lifetime to achieve `u` (eq. 3), with `u` capped at
     /// [`JobSnapshot::u_max`]. Returns zero for completed jobs.
+    ///
+    /// Callers asking for many levels at one `now` should take the
+    /// [`JobSnapshot::demand_curve`] once and query it instead.
     pub fn demand_for(&self, now: SimTime, u: Rp) -> CpuSpeed {
-        let remaining = self.remaining_work();
-        if remaining.is_zero() {
-            return CpuSpeed::ZERO;
+        self.demand_curve(now).at(u)
+    }
+
+    /// The job's demand as a function of the target level, as seen at
+    /// `now`: the terms of [`JobSnapshot::demand_for`] that do not depend
+    /// on the level (remaining work, earliest completion, `u_max`),
+    /// computed once.
+    pub fn demand_curve(&self, now: SimTime) -> DemandCurve {
+        let earliest = self.earliest_completion(now);
+        DemandCurve {
+            now,
+            goal: self.goal,
+            remaining: self.remaining_work(),
+            u_max: self.goal.performance_at(earliest),
+            earliest,
         }
-        let target = u.min(self.u_max(now));
-        let completion = self.goal.completion_for(target);
-        // For hopelessly late jobs a target's completion time can still
-        // lie in the past (healthy targets) or round-trip slightly early
-        // (banded `u_max`); no schedule can beat the earliest feasible
-        // completion, so demand tops out at the run-flat-out average
-        // speed.
-        let available = completion.max(self.earliest_completion(now)) - now;
-        debug_assert!(
-            available.is_positive(),
-            "live jobs always have positive remaining time"
-        );
-        remaining / available
     }
 
     /// A copy of this snapshot with `done` more work consumed and a new
@@ -208,6 +210,49 @@ impl JobSnapshot {
             earliest_start_delay,
             parallelism: self.parallelism,
         }
+    }
+}
+
+/// [`JobSnapshot::demand_for`] at a fixed `now`, with every term that
+/// does not depend on the target level hoisted out. [`DemandCurve::at`]
+/// runs the same arithmetic on the same values, so it returns the same
+/// bits as `demand_for` for every level.
+#[derive(Debug, Clone, Copy)]
+pub struct DemandCurve {
+    now: SimTime,
+    goal: CompletionGoal,
+    remaining: Work,
+    u_max: Rp,
+    earliest: SimTime,
+}
+
+impl DemandCurve {
+    /// The highest achievable relative performance, as
+    /// [`JobSnapshot::u_max`] reports it at the curve's `now`.
+    #[inline]
+    pub fn u_max(&self) -> Rp {
+        self.u_max
+    }
+
+    /// Average speed needed to achieve `u`, capped at
+    /// [`DemandCurve::u_max`]; zero for a completed job.
+    pub fn at(&self, u: Rp) -> CpuSpeed {
+        if self.remaining.is_zero() {
+            return CpuSpeed::ZERO;
+        }
+        let target = u.min(self.u_max);
+        let completion = self.goal.completion_for(target);
+        // For hopelessly late jobs a target's completion time can still
+        // lie in the past (healthy targets) or round-trip slightly early
+        // (banded `u_max`); no schedule can beat the earliest feasible
+        // completion, so demand tops out at the run-flat-out average
+        // speed.
+        let available = completion.max(self.earliest) - self.now;
+        debug_assert!(
+            available.is_positive(),
+            "live jobs always have positive remaining time"
+        );
+        self.remaining / available
     }
 }
 
@@ -234,7 +279,8 @@ impl JobColumn {
     /// Panics if the job is already completed.
     pub fn build(now: SimTime, job: &JobSnapshot, grid: &[f64]) -> Self {
         assert!(!job.is_done(), "completed jobs must be excluded");
-        let cap = job.u_max(now);
+        let curve = job.demand_curve(now);
+        let cap = curve.u_max();
         let mut w = Vec::with_capacity(grid.len());
         let mut v = Vec::with_capacity(grid.len());
         for (i, &u) in grid.iter().enumerate() {
@@ -249,7 +295,7 @@ impl JobColumn {
                 continue;
             }
             let target = Rp::new(u).min(cap);
-            w.push(job.demand_for(now, target).as_mhz());
+            w.push(curve.at(target).as_mhz());
             v.push(target.value());
         }
         Self { u_max: cap, w, v }

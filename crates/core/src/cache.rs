@@ -15,8 +15,10 @@
 //!    water-filler, the *unclamped* demand of an application at level
 //!    `u` depends only on its workload model (and `now`) — never on the
 //!    candidate placement. The placement-dependent clamp to
-//!    `[min_total, cap_total]` stays outside the memo. Keyed by
-//!    `(app, u.to_bits())`.
+//!    `[min_total, cap_total]` stays outside the memo. One row per
+//!    level, keyed by `u.to_bits()` and indexed by the application's
+//!    position in the problem's workloads; hits and misses still count
+//!    one per `(app, u)` entry.
 //! 3. **The one-cycle-ahead batch evaluation.** A pure function of the
 //!    per-app CPU allocations. Keyed by the `(app, alloc.to_bits())`
 //!    vector.
@@ -37,7 +39,7 @@
 //! A cache is only valid for the problem it was populated against;
 //! [`crate::optimizer::place`] builds a fresh one per call.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, RefCell, RefMut};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -51,9 +53,9 @@ use crate::evaluate::PlacementScore;
 
 /// A tiny multiplicative hasher for the memo keys. The keys are short
 /// sequences of machine words with well-mixed low bits (ids and `f64`
-/// bit patterns), and the demand/column memos are probed once per
-/// bisection step per application — SipHash overhead is measurable
-/// there, DoS resistance buys nothing.
+/// bit patterns), the demand memo is probed once per bisection step and
+/// the column memo once per surviving job per candidate — SipHash
+/// overhead is measurable there, DoS resistance buys nothing.
 #[derive(Default)]
 struct MemoHasher(u64);
 
@@ -123,7 +125,7 @@ pub struct CacheStats {
 #[derive(Debug, Default)]
 pub struct ScoreCache {
     scores: RefCell<MemoMap<PlacementKey, Option<Arc<PlacementScore>>>>,
-    demands: RefCell<MemoMap<(u32, u64), f64>>,
+    demands: RefCell<MemoMap<u64, Vec<Option<f64>>>>,
     batch_evals: RefCell<MemoMap<BatchKey, Vec<(AppId, Rp)>>>,
     columns: RefCell<MemoMap<(u32, u64), Arc<JobColumn>>>,
     score_hits: Cell<u64>,
@@ -174,18 +176,20 @@ impl ScoreCache {
         self.scores.borrow_mut().insert(key, score);
     }
 
-    /// Raw (unclamped) demand of `app` at performance level `u_bits`
-    /// (an `f64` bit pattern), computing and memoizing on miss.
-    pub(crate) fn raw_demand(&self, app: AppId, u_bits: u64, compute: impl FnOnce() -> f64) -> f64 {
-        let key = (app.index() as u32, u_bits);
-        if let Some(&d) = self.demands.borrow().get(&key) {
-            self.demand_hits.set(self.demand_hits.get() + 1);
-            return d;
+    /// The raw-demand row of performance level `u_bits` (an `f64` bit
+    /// pattern), with one slot per application of the problem
+    /// (`slots`). The row stays borrowed until the returned handle is
+    /// dropped.
+    pub(crate) fn demand_row(&self, u_bits: u64, slots: usize) -> DemandRow<'_> {
+        DemandRow {
+            slots: RefMut::map(self.demands.borrow_mut(), |rows| {
+                rows.entry(u_bits)
+                    .or_insert_with(|| vec![None; slots])
+                    .as_mut_slice()
+            }),
+            hits: &self.demand_hits,
+            misses: &self.demand_misses,
         }
-        self.demand_misses.set(self.demand_misses.get() + 1);
-        let d = compute();
-        self.demands.borrow_mut().insert(key, d);
-        d
     }
 
     /// Batch performances for a per-app allocation vector, computing
@@ -240,6 +244,28 @@ impl ScoreCache {
     }
 }
 
+/// One level's row of the raw-demand memo (see [`ScoreCache::demand_row`]).
+pub(crate) struct DemandRow<'c> {
+    slots: RefMut<'c, [Option<f64>]>,
+    hits: &'c Cell<u64>,
+    misses: &'c Cell<u64>,
+}
+
+impl DemandRow<'_> {
+    /// Raw (unclamped) demand of the application in `slot` at this
+    /// row's level, computing and memoizing on miss.
+    pub(crate) fn get_or_insert_with(&mut self, slot: usize, compute: impl FnOnce() -> f64) -> f64 {
+        if let Some(d) = self.slots[slot] {
+            self.hits.set(self.hits.get() + 1);
+            return d;
+        }
+        self.misses.set(self.misses.get() + 1);
+        let d = compute();
+        self.slots[slot] = Some(d);
+        d
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -268,11 +294,13 @@ mod tests {
     #[test]
     fn demand_memo_returns_exact_first_value_and_counts() {
         let cache = ScoreCache::new();
-        let app = AppId::new(7);
+        let slot = 7;
         let bits = 0.5f64.to_bits();
-        let first = cache.raw_demand(app, bits, || 1234.5678);
+        let first = cache.demand_row(bits, 8).get_or_insert_with(slot, || 1234.5678);
         // A second computation is never invoked: the closure would panic.
-        let second = cache.raw_demand(app, bits, || unreachable!("memoized"));
+        let second = cache
+            .demand_row(bits, 8)
+            .get_or_insert_with(slot, || unreachable!("memoized"));
         assert_eq!(first.to_bits(), second.to_bits());
         let stats = cache.stats();
         assert_eq!((stats.demand_hits, stats.demand_misses), (1, 1));

@@ -17,8 +17,11 @@
 //! 3. Repeat with the remaining applications until everything is fixed.
 //!
 //! Routability is checked with a max-flow when applications span several
-//! nodes, and with plain per-node sums otherwise.
+//! nodes, and with plain per-node sums otherwise. Only the nodes that
+//! host a placed instance take part, so the cost of a level follows the
+//! placement, not the cluster.
 
+use dynaplace_batch::hypothetical::DemandCurve;
 use dynaplace_model::ids::{AppId, NodeId};
 use dynaplace_model::load::LoadDistribution;
 use dynaplace_model::placement::Placement;
@@ -26,9 +29,10 @@ use dynaplace_model::units::{CpuSpeed, SimDuration, Work};
 use dynaplace_rpf::model::PerformanceModel;
 use dynaplace_rpf::value::{Rp, RP_FLOOR, RP_MIN};
 use dynaplace_solver::bisect::bisect_max;
-use dynaplace_solver::maxflow::FlowNetwork;
+use dynaplace_solver::maxflow::{EdgeHandle, FlowNetwork};
+use dynaplace_txn::model::TxnPerformanceModel;
 
-use crate::cache::ScoreCache;
+use crate::cache::{DemandRow, ScoreCache};
 use crate::problem::{PlacementProblem, WorkloadModel};
 
 /// Absolute feasibility slack in MHz.
@@ -38,33 +42,64 @@ const U_TOL: f64 = 1e-5;
 /// Probe step when testing whether an application can individually rise.
 const PROBE_DU: f64 = 1e-3;
 
+/// How a placed application's CPU demand responds to the level `u`.
+#[derive(Debug, Clone, Copy)]
+enum Demand<'a> {
+    /// A batch job's demand curve, taken from its snapshot *as placed*:
+    /// a job placed by this candidate starts progressing immediately, so
+    /// its curve must not carry the queued-state start delay.
+    Batch(DemandCurve),
+    /// A transactional application's queueing model.
+    Transactional(&'a TxnPerformanceModel),
+}
+
 #[derive(Debug, Clone)]
 struct PlacedApp<'a> {
     app: AppId,
-    /// The app's workload model, borrowed once at construction so the
-    /// per-demand hot paths skip the `workloads` map lookup.
-    model: &'a WorkloadModel,
-    /// Per-node routing capacity: `count × max_instance_speed`.
-    cells: Vec<(NodeId, f64)>,
-    /// Σ of `cells` capacities.
-    cap_total: f64,
+    /// Position in `problem.workloads`: the app's slot in a demand-memo
+    /// row.
+    slot: usize,
+    demand: Demand<'a>,
     /// Floor the app must receive while placed (`count × min_speed`).
     min_total: f64,
     /// Final allocation once the app stops floating.
     fixed: Option<f64>,
-    /// For batch jobs: the snapshot *as placed* — a job placed by this
-    /// candidate starts progressing immediately, so its demand curve must
-    /// not carry the queued-state start delay.
-    placed_snapshot: Option<dynaplace_batch::hypothetical::JobSnapshot>,
 }
 
 impl PlacedApp<'_> {
-    fn single_node(&self) -> Option<NodeId> {
-        if self.cells.len() == 1 {
-            Some(self.cells[0].0)
-        } else {
-            None
+    /// Raw (unclamped) workload demand at performance level `u`.
+    ///
+    /// Batch demand is the demand curve across the *whole* `Rp` range,
+    /// including the sub-floor band: a hopeless job bids flat-out at
+    /// every healthy level and scales down by lateness at banded levels,
+    /// so the water-filling itself drains the worst-off jobs first.
+    /// (Historically hopeless jobs had their demand zeroed here to
+    /// contain the flat-clamp starvation livelock; the sub-floor band
+    /// made that shim redundant and it was removed.)
+    fn raw_demand(&self, u: f64) -> f64 {
+        match self.demand {
+            Demand::Batch(curve) => curve.at(Rp::new(u)).as_mhz(),
+            Demand::Transactional(m) => m.demand(Rp::new(u)).as_mhz(),
         }
+    }
+
+    /// Demand at level `u` clamped to what the placement can carry. The
+    /// raw demand depends only on the workload model, `now`, and `u` —
+    /// not on the candidate placement — so it is read through the memo
+    /// `row` when one is given; the placement-dependent clamp is not.
+    fn demand_at(&self, u: f64, route: &Route, row: Option<&mut DemandRow<'_>>) -> f64 {
+        let raw = match row {
+            Some(row) => row.get_or_insert_with(self.slot, || self.raw_demand(u)),
+            None => self.raw_demand(u),
+        };
+        raw.clamp(self.min_total, route.cap_total)
+    }
+
+    /// Whether this is a floating batch job whose best achievable
+    /// performance lies in the sub-floor band.
+    fn floating_hopeless(&self) -> bool {
+        self.fixed.is_none()
+            && matches!(self.demand, Demand::Batch(curve) if curve.u_max().is_sub_floor())
     }
 }
 
@@ -91,12 +126,14 @@ pub(crate) fn distribute_with(
     cache: Option<&ScoreCache>,
 ) -> Option<LoadDistribution> {
     let mut apps: Vec<PlacedApp<'_>> = Vec::new();
+    let mut routes: Vec<Route> = Vec::new();
+    let mut hosts: Vec<NodeId> = Vec::new();
     // Both `workloads` and the placement's cells iterate in ascending
     // `AppId` order (cells additionally node-ascending within an app —
     // the order `instances_of` yields), so one merge-join pass replaces a
     // per-application range query.
     let mut cell_iter = placement.iter().peekable();
-    for (&app, model) in problem.workloads.iter() {
+    for (slot, (&app, model)) in problem.workloads.iter().enumerate() {
         // Same bounds `try_effective_speed_bounds` computes, from the model
         // reference already in hand.
         let (min, max) = match model {
@@ -114,7 +151,8 @@ pub(crate) fn distribute_with(
             cell_iter.next();
         }
         let mut counted: u32 = 0;
-        let mut cells: Vec<(NodeId, f64)> = Vec::new();
+        // Cells hold the node index until the host list is complete.
+        let mut cells: Vec<(usize, f64)> = Vec::new();
         while let Some(&(a, node, count)) = cell_iter.peek() {
             if a != app {
                 break;
@@ -127,51 +165,67 @@ pub(crate) fn distribute_with(
                 .cpu_capacity()
                 .as_mhz();
             counted += count;
-            cells.push((node, (max.as_mhz() * f64::from(count)).min(node_cap)));
+            cells.push((node.index(), (max.as_mhz() * f64::from(count)).min(node_cap)));
+            hosts.push(node);
         }
         if cells.is_empty() {
             continue;
         }
         let cap_total = cells.iter().map(|(_, c)| c).sum();
-        let placed_snapshot = model
-            .as_batch()
-            .map(|snap| snap.advanced(Work::ZERO, SimDuration::ZERO));
+        let demand = match model {
+            WorkloadModel::Batch(snap) => Demand::Batch(
+                snap.advanced(Work::ZERO, SimDuration::ZERO)
+                    .demand_curve(problem.now),
+            ),
+            WorkloadModel::Transactional(m) => Demand::Transactional(m),
+        };
         apps.push(PlacedApp {
             app,
-            model,
-            cells,
-            cap_total,
+            slot,
+            demand,
             min_total: min.as_mhz() * f64::from(counted),
             fixed: None,
-            placed_snapshot,
         });
+        routes.push(Route { cells, cap_total });
     }
-
-    // Dense per-node capacities (NodeIds are dense indices): cloning the
-    // residual vector per routability probe is a memcpy, not a tree walk.
-    let capacities: Vec<f64> = problem
-        .cluster
+    hosts.sort_unstable();
+    hosts.dedup();
+    for route in &mut routes {
+        for cell in &mut route.cells {
+            cell.0 = hosts
+                .binary_search_by_key(&cell.0, |node| node.index())
+                .expect("every cell's node is a host");
+        }
+    }
+    let capacities: Vec<f64> = hosts
         .iter()
-        .map(|(_, spec)| spec.cpu_capacity().as_mhz())
+        .map(|&node| {
+            problem
+                .cluster
+                .node(node)
+                .expect("placed on a known node")
+                .cpu_capacity()
+                .as_mhz()
+        })
         .collect();
+    let mut router = Router::new(routes, hosts, capacities);
 
-    let demand_at = |pa: &PlacedApp<'_>, u: f64| -> f64 {
-        // The raw demand depends only on the workload model, `now`, and
-        // `u` — not on the candidate placement — so it is safe to memo
-        // across candidates; the placement-dependent clamp is not.
-        let raw = match cache {
-            Some(c) => c.raw_demand(pa.app, u.to_bits(), || raw_demand(problem, pa, u)),
-            None => raw_demand(problem, pa, u),
-        };
-        raw.clamp(pa.min_total, pa.cap_total)
+    // Demand vector at level `u`, written into `out`: fixed apps keep
+    // their allocation. One memo row serves the whole level.
+    let slots = problem.workloads.len();
+    let demand_row = |u: f64| cache.map(|c| c.demand_row(u.to_bits(), slots));
+    let effective = |apps: &[PlacedApp<'_>], routes: &[Route], u: f64, out: &mut Vec<f64>| {
+        out.clear();
+        let mut row = demand_row(u);
+        for (pa, route) in apps.iter().zip(routes) {
+            out.push(
+                pa.fixed
+                    .unwrap_or_else(|| pa.demand_at(u, route, row.as_mut())),
+            );
+        }
     };
-
-    // Demand vector at level `u`: fixed apps keep their allocation.
-    let effective = |apps: &[PlacedApp<'_>], u: f64| -> Vec<f64> {
-        apps.iter()
-            .map(|pa| pa.fixed.unwrap_or_else(|| demand_at(pa, u)))
-            .collect()
-    };
+    // Reused by every bisection step; after a bisection it holds `base`.
+    let mut demands: Vec<f64> = Vec::with_capacity(apps.len());
 
     // Progressive filling: each round fixes at least one application.
     loop {
@@ -183,7 +237,8 @@ pub(crate) fn distribute_with(
         // midpoint sequence — and every healthy run's bits — are
         // unchanged).
         let healthy = bisect_max(RP_FLOOR, 1.0, U_TOL, |u| {
-            routable(&apps, &effective(&apps, u), &capacities)
+            effective(&apps, &router.routes, u, &mut demands);
+            router.routable(&demands)
         });
         let result = match healthy {
             Some(r) => r,
@@ -195,28 +250,23 @@ pub(crate) fn distribute_with(
             // this is a genuinely infeasible placement and must keep
             // propagating as `None`.
             None => {
-                let hopeless_floating = apps.iter().any(|pa| {
-                    pa.fixed.is_none()
-                        && pa
-                            .placed_snapshot
-                            .as_ref()
-                            .is_some_and(|s| s.u_max(problem.now).is_sub_floor())
-                });
-                if !hopeless_floating {
+                if !apps.iter().any(PlacedApp::floating_hopeless) {
                     return None;
                 }
                 bisect_max(RP_MIN, RP_FLOOR, U_TOL, |u| {
-                    routable(&apps, &effective(&apps, u), &capacities)
+                    effective(&apps, &router.routes, u, &mut demands);
+                    router.routable(&demands)
                 })?
             }
         };
         let u_star = result.accepted;
-        let base = effective(&apps, u_star);
+        effective(&apps, &router.routes, u_star, &mut demands);
+        let base = &mut demands;
 
         if result.rejected.is_none() {
             // Everything fits even at u = 1: fix all floats at their
             // u = 1 demand (their saturation level).
-            for (pa, d) in apps.iter_mut().zip(&base) {
+            for (pa, d) in apps.iter_mut().zip(base.iter()) {
                 if pa.fixed.is_none() {
                     pa.fixed = Some(*d);
                 }
@@ -226,31 +276,28 @@ pub(crate) fn distribute_with(
 
         // Find which floating applications are stuck at u*. The demand
         // vector with app `i` probed is `base` with element `i` replaced
-        // (all other entries are the same fixed-or-`demand_at(u*)` values
-        // `base` holds), so patch a copy in place instead of recomputing
-        // every demand per probe.
+        // (all other entries are the same fixed-or-demand-at-u* values
+        // `base` holds), so the router patches `base` in place instead of
+        // recomputing every demand per probe.
         let mut newly_fixed = Vec::new();
-        let mut probed = base.clone();
+        let u_probe = (u_star + PROBE_DU).min(1.0);
+        let mut row = demand_row(u_probe);
         for i in 0..apps.len() {
             if apps[i].fixed.is_some() {
                 continue;
             }
-            let probe = demand_at(&apps[i], (u_star + PROBE_DU).min(1.0));
+            let probe = apps[i].demand_at(u_probe, &router.routes[i], row.as_mut());
             let saturated = probe <= base[i] + FEAS_EPS;
-            let blocked = saturated || {
-                probed[i] = probe;
-                let fits = routable(&apps, &probed, &capacities);
-                probed[i] = base[i];
-                !fits
-            };
+            let blocked = saturated || !router.fits_raised(base, i, probe);
             if blocked {
                 newly_fixed.push((i, base[i]));
             }
         }
+        drop(row);
         if newly_fixed.is_empty() {
             // Numerical corner: nobody is provably blocked; fix everyone
             // at the achieved level to terminate.
-            for (pa, d) in apps.iter_mut().zip(&base) {
+            for (pa, d) in apps.iter_mut().zip(base.iter()) {
                 if pa.fixed.is_none() {
                     pa.fixed = Some(*d);
                 }
@@ -262,26 +309,9 @@ pub(crate) fn distribute_with(
         }
     }
 
-    let mut load = extract_distribution(&apps, &capacities)?;
-    residual_fill(problem, &apps, &capacities, &mut load, cache);
+    let mut load = router.extract(&apps)?;
+    residual_fill(&apps, &mut router, &mut load, cache.map(|c| (c, slots)));
     Some(load)
-}
-
-/// Raw (unclamped) workload demand of `pa` at performance level `u`.
-///
-/// Batch demand is `demand_for` across the *whole* `Rp` range, including
-/// the sub-floor band: a hopeless job bids flat-out at every healthy
-/// level and scales down by lateness at banded levels, so the
-/// water-filling itself drains the worst-off jobs first. (Historically
-/// hopeless jobs had their demand zeroed here to contain the flat-clamp
-/// starvation livelock; the sub-floor band made that shim redundant and
-/// it was removed.)
-fn raw_demand(problem: &PlacementProblem<'_>, pa: &PlacedApp<'_>, u: f64) -> f64 {
-    match (pa.model, &pa.placed_snapshot) {
-        (_, Some(snap)) => snap.demand_for(problem.now, Rp::new(u)).as_mhz(),
-        (WorkloadModel::Transactional(m), None) => m.demand(Rp::new(u)).as_mhz(),
-        (WorkloadModel::Batch(snap), None) => snap.demand_for(problem.now, Rp::new(u)).as_mhz(),
-    }
 }
 
 /// Hands leftover node capacity to applications that can still absorb it
@@ -290,40 +320,52 @@ fn raw_demand(problem: &PlacementProblem<'_>, pa: &PlacedApp<'_>, u: f64) -> f64
 /// performance cannot improve this cycle, so the water-filler gives it
 /// nothing — still consume the capacity nobody else wants: best-effort
 /// service instead of idle CPUs.
+///
+/// `memo` is the score cache and the number of slots in its demand rows.
 fn residual_fill(
-    problem: &PlacementProblem<'_>,
     apps: &[PlacedApp<'_>],
-    capacities: &[f64],
-    load: &mut dynaplace_model::load::LoadDistribution,
-    cache: Option<&ScoreCache>,
+    router: &mut Router,
+    load: &mut LoadDistribution,
+    memo: Option<(&ScoreCache, usize)>,
 ) {
-    let mut residual: Vec<f64> = capacities.to_vec();
+    let Router {
+        routes,
+        hosts,
+        capacities,
+        residual,
+        ..
+    } = router;
+    residual.copy_from_slice(capacities);
     for (_, node, speed) in load.iter() {
-        residual[node.index()] -= speed.as_mhz();
+        let host = hosts
+            .binary_search(&node)
+            .expect("load is only routed onto hosts");
+        residual[host] -= speed.as_mhz();
     }
-    for pa in apps {
-        let raw_appetite = || match (pa.model, &pa.placed_snapshot) {
-            (WorkloadModel::Transactional(m), _) => m.max_useful_demand().as_mhz(),
-            (_, Some(snap)) => snap.demand_for(problem.now, Rp::MAX).as_mhz(),
-            (WorkloadModel::Batch(snap), None) => snap.demand_for(problem.now, Rp::MAX).as_mhz(),
-        };
-        // Batch appetite is the raw demand at Rp::MAX — same function the
-        // water-filler memoizes (Rp::new clamps, so Rp::new(MAX) == MAX);
-        // the transactional arm is a different function, kept uncached.
-        let appetite_total = match (cache, pa.placed_snapshot.is_some()) {
-            (Some(c), true) => c.raw_demand(pa.app, Rp::MAX.value().to_bits(), raw_appetite),
-            _ => raw_appetite(),
+    // Batch appetite is the raw demand at Rp::MAX — the same function
+    // the water-filler memoizes (Rp::new clamps, so Rp::new(MAX) ==
+    // MAX); the transactional arm is a different function, kept
+    // uncached.
+    let mut row = memo.map(|(c, slots)| c.demand_row(Rp::MAX.value().to_bits(), slots));
+    for (pa, route) in apps.iter().zip(routes.iter()) {
+        let appetite_total = match (pa.demand, row.as_mut()) {
+            (Demand::Transactional(m), _) => m.max_useful_demand().as_mhz(),
+            (Demand::Batch(curve), None) => curve.at(Rp::MAX).as_mhz(),
+            (Demand::Batch(curve), Some(row)) => {
+                row.get_or_insert_with(pa.slot, || curve.at(Rp::MAX).as_mhz())
+            }
         }
-        .min(pa.cap_total);
+        .min(route.cap_total);
         let mut appetite = appetite_total - load.app_total(pa.app).as_mhz();
         if appetite <= FEAS_EPS {
             continue;
         }
-        for &(node, cell_cap) in &pa.cells {
+        for &(host, cell_cap) in &route.cells {
             if appetite <= FEAS_EPS {
                 break;
             }
-            let r = &mut residual[node.index()];
+            let node = hosts[host];
+            let r = &mut residual[host];
             let current = load.get(pa.app, node).as_mhz();
             let take = appetite.min(cell_cap - current).min((*r).max(0.0));
             if take > FEAS_EPS {
@@ -335,40 +377,209 @@ fn residual_fill(
     }
 }
 
-/// Checks whether the demand vector can be routed: single-node demands
-/// are charged directly to their node; multi-node applications go through
-/// a max-flow over their candidate nodes.
-fn routable(apps: &[PlacedApp<'_>], demands: &[f64], capacities: &[f64]) -> bool {
-    let mut residual: Vec<f64> = capacities.to_vec();
-    let mut multi: Vec<(&PlacedApp<'_>, f64)> = Vec::new();
-    for (pa, &demand) in apps.iter().zip(demands) {
-        if demand > pa.cap_total + FEAS_EPS {
-            return false;
-        }
-        match pa.single_node() {
-            Some(node) => {
-                let r = &mut residual[node.index()];
-                *r -= demand;
-                if *r < -FEAS_EPS {
-                    return false;
-                }
-            }
-            None => multi.push((pa, demand)),
-        }
-    }
-    route_multi(&multi, &mut residual)
+/// Where one placed application's CPU can go.
+#[derive(Debug, Clone)]
+struct Route {
+    /// Per-host routing capacity, `(host index, count ×
+    /// max_instance_speed capped by the node CPU)`, host-ascending.
+    cells: Vec<(usize, f64)>,
+    /// Σ of `cells` capacities.
+    cap_total: f64,
 }
 
-fn route_multi(multi: &[(&PlacedApp<'_>, f64)], residual: &mut [f64]) -> bool {
+impl Route {
+    fn single_host(&self) -> Option<usize> {
+        if self.cells.len() == 1 {
+            Some(self.cells[0].0)
+        } else {
+            None
+        }
+    }
+}
+
+/// Routability of demand vectors (one entry per route) over the nodes
+/// hosting a placed instance — the *hosts*, indexed in ascending
+/// `NodeId` order. The scratch buffers are reused across calls, so a
+/// check allocates nothing unless two or more applications span nodes
+/// (then it builds the max-flow network over the hosts).
+#[derive(Debug)]
+struct Router {
+    routes: Vec<Route>,
+    /// The hosts, ascending; a cell's host index points here.
+    hosts: Vec<NodeId>,
+    /// CPU capacity per host.
+    capacities: Vec<f64>,
+    /// Scratch: per-host residual capacity.
+    residual: Vec<f64>,
+    /// Scratch: `(route index, demand)` of the multi-node applications.
+    multi: Vec<(usize, f64)>,
+    /// Whether every route has a single host, which keeps a raised
+    /// probe node-local (see [`Router::fits_raised`]).
+    all_single: bool,
+    /// Route indices on each host, in route order; built by the first
+    /// node-local probe.
+    by_host: Option<Vec<Vec<usize>>>,
+}
+
+impl Router {
+    fn new(routes: Vec<Route>, hosts: Vec<NodeId>, capacities: Vec<f64>) -> Self {
+        let all_single = routes.iter().all(|r| r.cells.len() == 1);
+        Self {
+            residual: vec![0.0; capacities.len()],
+            multi: Vec::new(),
+            all_single,
+            by_host: None,
+            routes,
+            hosts,
+            capacities,
+        }
+    }
+
+    /// Checks whether `demands` can be routed: single-node demands are
+    /// charged directly to their node; multi-node applications go
+    /// through a max-flow over their candidate nodes.
+    fn routable(&mut self, demands: &[f64]) -> bool {
+        self.residual.copy_from_slice(&self.capacities);
+        self.multi.clear();
+        for (i, (route, &demand)) in self.routes.iter().zip(demands).enumerate() {
+            if demand > route.cap_total + FEAS_EPS {
+                return false;
+            }
+            match route.single_host() {
+                Some(host) => {
+                    let r = &mut self.residual[host];
+                    *r -= demand;
+                    if *r < -FEAS_EPS {
+                        return false;
+                    }
+                }
+                None => self.multi.push((i, demand)),
+            }
+        }
+        route_multi(&self.routes, &self.multi, &mut self.residual)
+    }
+
+    /// Whether `base` — a demand vector known to be routable — stays
+    /// routable with entry `i` raised to `probe`.
+    ///
+    /// When every application is single-node, raising `i` changes only
+    /// the sums on `i`'s node: every other node sees the same
+    /// subtractions that already passed for `base`. So the verdict is
+    /// `i`'s own cap check plus a replay of that node's subtractions, in
+    /// application order, exactly as [`Router::routable`] performs them.
+    /// Otherwise the whole patched vector goes through `routable`;
+    /// `base` is restored before returning.
+    fn fits_raised(&mut self, base: &mut [f64], i: usize, probe: f64) -> bool {
+        if !self.all_single {
+            let kept = base[i];
+            base[i] = probe;
+            let fits = self.routable(base);
+            base[i] = kept;
+            return fits;
+        }
+        let route = &self.routes[i];
+        if probe > route.cap_total + FEAS_EPS {
+            return false;
+        }
+        let host = route.cells[0].0;
+        let routes = &self.routes;
+        let hosts = self.hosts.len();
+        let by_host = self.by_host.get_or_insert_with(|| {
+            let mut by_host = vec![Vec::new(); hosts];
+            for (j, route) in routes.iter().enumerate() {
+                by_host[route.cells[0].0].push(j);
+            }
+            by_host
+        });
+        let mut r = self.capacities[host];
+        for &j in &by_host[host] {
+            r -= if j == i { probe } else { base[j] };
+            if r < -FEAS_EPS {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Turns final per-app allocations into a per-cell
+    /// [`LoadDistribution`].
+    fn extract(&mut self, apps: &[PlacedApp<'_>]) -> Option<LoadDistribution> {
+        let residual = &mut self.residual;
+        residual.copy_from_slice(&self.capacities);
+        let mut load = LoadDistribution::new();
+
+        // Single-node apps first (their placement is forced).
+        let mut multi: Vec<(usize, f64)> = Vec::new();
+        for (i, (pa, route)) in apps.iter().zip(&self.routes).enumerate() {
+            let total = pa.fixed.unwrap_or(0.0);
+            if total <= 0.0 {
+                continue;
+            }
+            match route.single_host() {
+                Some(host) => {
+                    let r = &mut residual[host];
+                    *r -= total;
+                    if *r < -1e-3 {
+                        return None; // should not happen: demands were feasible
+                    }
+                    load.set(pa.app, self.hosts[host], CpuSpeed::from_mhz(total));
+                }
+                None => multi.push((i, total)),
+            }
+        }
+
+        match multi.len() {
+            0 => {}
+            1 => {
+                let (i, demand) = multi[0];
+                let mut need = demand;
+                for &(host, cap) in &self.routes[i].cells {
+                    let r = &mut residual[host];
+                    let take = need.min(cap).min((*r).max(0.0));
+                    if take > 0.0 {
+                        *r -= take;
+                        need -= take;
+                        load.set(apps[i].app, self.hosts[host], CpuSpeed::from_mhz(take));
+                    }
+                    if need <= FEAS_EPS {
+                        break;
+                    }
+                }
+                if need > 1e-3 {
+                    return None;
+                }
+            }
+            _ => {
+                let mut handles = Vec::new();
+                let (mut net, total_demand, t) =
+                    flow_network(&self.routes, &multi, residual, |i, host, h| {
+                        handles.push((i, host, h));
+                    });
+                if net.max_flow(0, t) < total_demand - 1e-3 {
+                    return None;
+                }
+                for (i, host, h) in handles {
+                    let f = net.flow_on(h);
+                    if f > FEAS_EPS {
+                        load.set(apps[i].app, self.hosts[host], CpuSpeed::from_mhz(f));
+                    }
+                }
+            }
+        }
+        Some(load)
+    }
+}
+
+fn route_multi(routes: &[Route], multi: &[(usize, f64)], residual: &mut [f64]) -> bool {
     if multi.is_empty() {
         return true;
     }
     if multi.len() == 1 {
         // Greedy suffices for a single multi-node application.
-        let (pa, demand) = multi[0];
+        let (i, demand) = multi[0];
         let mut need = demand;
-        for &(node, cap) in &pa.cells {
-            let r = &mut residual[node.index()];
+        for &(host, cap) in &routes[i].cells {
+            let r = &mut residual[host];
             let take = need.min(cap).min((*r).max(0.0));
             *r -= take;
             need -= take;
@@ -379,103 +590,39 @@ fn route_multi(multi: &[(&PlacedApp<'_>, f64)], residual: &mut [f64]) -> bool {
         return need <= FEAS_EPS;
     }
     // General case: bipartite max-flow.
-    let nodes = residual.len();
-    let s = 0;
-    let t = 1 + multi.len() + nodes;
+    let (mut net, total_demand, t) = flow_network(routes, multi, residual, |_, _, _| {});
+    net.max_flow(0, t) >= total_demand - FEAS_EPS * (1.0 + multi.len() as f64)
+}
+
+/// The bipartite routing network for the multi-node applications in
+/// `multi` (`(route index, demand)`): source 0, vertex `1 + k` for the
+/// `k`-th of them, then one vertex per host, then the sink. Edges go in
+/// application by application (source edge, then one per cell, reported
+/// to `on_cell` as `(route index, host index, handle)`), then host to
+/// sink with the host's residual capacity. Returns the network, the
+/// total demand and the sink.
+fn flow_network(
+    routes: &[Route],
+    multi: &[(usize, f64)],
+    residual: &[f64],
+    mut on_cell: impl FnMut(usize, usize, EdgeHandle),
+) -> (FlowNetwork, f64, usize) {
+    let host_base = 1 + multi.len();
+    let t = host_base + residual.len();
     let mut net = FlowNetwork::new(t + 1);
     let mut total_demand = 0.0;
-    for (i, (pa, demand)) in multi.iter().enumerate() {
-        net.add_edge(s, 1 + i, *demand);
+    for (k, &(i, demand)) in multi.iter().enumerate() {
+        net.add_edge(0, 1 + k, demand);
         total_demand += demand;
-        for &(node, cap) in &pa.cells {
-            net.add_edge(1 + i, 1 + multi.len() + node.index(), cap);
+        for &(host, cap) in &routes[i].cells {
+            on_cell(i, host, net.add_edge(1 + k, host_base + host, cap));
         }
     }
-    for (j, r) in residual.iter().enumerate() {
-        net.add_edge(1 + multi.len() + j, t, r.max(0.0));
+    for (host, r) in residual.iter().enumerate() {
+        net.add_edge(host_base + host, t, r.max(0.0));
     }
-    net.max_flow(s, t) >= total_demand - FEAS_EPS * (1.0 + multi.len() as f64)
+    (net, total_demand, t)
 }
-
-/// Turns final per-app allocations into a per-cell [`LoadDistribution`].
-fn extract_distribution(apps: &[PlacedApp<'_>], capacities: &[f64]) -> Option<LoadDistribution> {
-    let mut residual: Vec<f64> = capacities.to_vec();
-    let mut load = LoadDistribution::new();
-
-    // Single-node apps first (their placement is forced).
-    let mut multi: Vec<(&PlacedApp<'_>, f64)> = Vec::new();
-    for pa in apps {
-        let total = pa.fixed.unwrap_or(0.0);
-        if total <= 0.0 {
-            continue;
-        }
-        match pa.single_node() {
-            Some(node) => {
-                let r = &mut residual[node.index()];
-                *r -= total;
-                if *r < -1e-3 {
-                    return None; // should not happen: demands were feasible
-                }
-                load.set(pa.app, node, CpuSpeed::from_mhz(total));
-            }
-            None => multi.push((pa, total)),
-        }
-    }
-
-    match multi.len() {
-        0 => {}
-        1 => {
-            let (pa, demand) = multi[0];
-            let mut need = demand;
-            for &(node, cap) in &pa.cells {
-                let r = &mut residual[node.index()];
-                let take = need.min(cap).min((*r).max(0.0));
-                if take > 0.0 {
-                    *r -= take;
-                    need -= take;
-                    load.set(pa.app, node, CpuSpeed::from_mhz(take));
-                }
-                if need <= FEAS_EPS {
-                    break;
-                }
-            }
-            if need > 1e-3 {
-                return None;
-            }
-        }
-        _ => {
-            let nodes = residual.len();
-            let s = 0;
-            let t = 1 + multi.len() + nodes;
-            let mut net = FlowNetwork::new(t + 1);
-            let mut handles = Vec::new();
-            let mut total_demand = 0.0;
-            for (i, (pa, demand)) in multi.iter().enumerate() {
-                net.add_edge(s, 1 + i, *demand);
-                total_demand += demand;
-                for &(node, cap) in &pa.cells {
-                    let h = net.add_edge(1 + i, 1 + multi.len() + node.index(), cap);
-                    handles.push((pa.app, node, h));
-                }
-            }
-            for (j, r) in residual.iter().enumerate() {
-                net.add_edge(1 + multi.len() + j, t, r.max(0.0));
-            }
-            let flow = net.max_flow(s, t);
-            if flow < total_demand - 1e-3 {
-                return None;
-            }
-            for (app, node, h) in handles {
-                let f = net.flow_on(h);
-                if f > FEAS_EPS {
-                    load.set(app, node, CpuSpeed::from_mhz(f));
-                }
-            }
-        }
-    }
-    Some(load)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
