@@ -259,7 +259,7 @@ impl Simulation {
         let believed = self
             .observed_cluster
             .as_ref()
-            .unwrap_or(&self.effective_cluster);
+            .unwrap_or(self.effective_cluster());
         // Quarantined pairs from the actuation layer, plus a freeze on
         // every Suspect node: instances already there are left alone, but
         // no new starts are routed to a node whose heartbeats are
@@ -332,7 +332,7 @@ impl Simulation {
         let sink = Arc::clone(&self.trace);
         let masked = self.baseline_cluster();
         let outcome = {
-            let cluster = masked.as_ref().unwrap_or(&self.effective_cluster);
+            let cluster = masked.as_ref().unwrap_or(self.effective_cluster());
             let problem = self.build_baseline_problem(cluster);
             policy.place(&problem, &*sink)
         };
@@ -343,11 +343,11 @@ impl Simulation {
     /// (failure-masked) cluster with every node outside
     /// [`SimConfig::batch_nodes`] additionally zeroed. `None` when no
     /// restriction is configured, so the hot path borrows
-    /// `effective_cluster` directly.
+    /// the effective cluster directly.
     pub(super) fn baseline_cluster(&self) -> Option<Cluster> {
         let allowed = self.config.batch_nodes.as_ref()?;
-        let mut rebuilt = Cluster::new().with_dims(self.effective_cluster.dims().clone());
-        for (id, spec) in self.effective_cluster.iter() {
+        let mut rebuilt = Cluster::new().with_dims(self.effective_cluster().dims().clone());
+        for (id, spec) in self.effective_cluster().iter() {
             if allowed.contains(&id) {
                 rebuilt.add_node(spec.clone());
             } else {

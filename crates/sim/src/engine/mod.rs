@@ -156,17 +156,20 @@ pub struct Simulation {
     metrics: RunMetrics,
     live_jobs: usize,
     class_profiler: JobClassProfiler,
-    /// The cluster as the schedulers see it (failed nodes zeroed).
-    effective_cluster: Cluster,
+    /// The cluster as the schedulers see it while a node is failed:
+    /// `cluster` with the failed nodes zeroed. `None` while no node is
+    /// failed, so building a simulation copies no node; read it through
+    /// [`Simulation::effective_cluster`].
+    failed_cluster: Option<Cluster>,
     failed_nodes: std::collections::BTreeSet<NodeId>,
     /// The imperfect-telemetry observation layer: node-health beliefs,
     /// report caches, estimator state, and the per-cycle views the
     /// controller reads instead of the truth. Inert when
     /// [`SimConfig::observation`] is the default.
     observation: ObservationState,
-    /// The cluster as the *controller believes* it: `effective_cluster`
+    /// The cluster as the *controller believes* it: the effective cluster
     /// with believed-dead nodes zeroed. `None` while the believed-dead
-    /// set is empty, so the inactive path borrows `effective_cluster`
+    /// set is empty, so the inactive path borrows the effective cluster
     /// with zero overhead.
     observed_cluster: Option<Cluster>,
     /// Whether the last observation cycle breached the staleness budget
@@ -201,7 +204,7 @@ impl Simulation {
             trace,
             trace_file,
             cycle_index: 0,
-            effective_cluster: cluster.clone(),
+            failed_cluster: None,
             cluster,
             apps: AppSet::new(),
             config,
@@ -232,6 +235,12 @@ impl Simulation {
     /// The cluster under simulation.
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
+    }
+
+    /// The cluster as the schedulers see it: the real one, with every
+    /// failed node's capacity zeroed.
+    fn effective_cluster(&self) -> &Cluster {
+        self.failed_cluster.as_ref().unwrap_or(&self.cluster)
     }
 
     /// Enables (or disables) per-cycle placement recording after

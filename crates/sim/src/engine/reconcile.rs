@@ -6,8 +6,15 @@ use super::*;
 
 impl Simulation {
     /// Rebuilds the scheduler-visible cluster from the real one with every
-    /// currently failed node's capacity zeroed.
+    /// currently failed node's capacity zeroed. Nothing is built while no
+    /// node is failed: [`Simulation::effective_cluster`] then borrows the
+    /// real cluster.
     pub(super) fn rebuild_effective(&mut self) {
+        if self.failed_nodes.is_empty() {
+            self.failed_cluster = None;
+            self.rebuild_observed();
+            return;
+        }
         // Keep the real cluster's rigid dimension registry: a default
         // (memory-only) registry would make multi-dim node vectors
         // inconsistent and be rejected at problem build time.
@@ -32,7 +39,7 @@ impl Simulation {
                 rebuilt.add_node(spec.clone());
             }
         }
-        self.effective_cluster = rebuilt;
+        self.failed_cluster = Some(rebuilt);
         // The controller's believed cluster is derived from the
         // effective one, so it must track every failure/recovery.
         self.rebuild_observed();
@@ -41,15 +48,15 @@ impl Simulation {
     /// Rebuilds the cluster as the *controller believes* it: the
     /// effective (truth-masked) cluster with every believed-dead node's
     /// capacity additionally zeroed. `None` while nothing is believed
-    /// dead, so the hot inactive path borrows `effective_cluster`
+    /// dead, so the hot inactive path borrows the effective cluster
     /// directly.
     pub(super) fn rebuild_observed(&mut self) {
         if self.observation.believed_dead.is_empty() {
             self.observed_cluster = None;
             return;
         }
-        let mut rebuilt = Cluster::new().with_dims(self.effective_cluster.dims().clone());
-        for (id, spec) in self.effective_cluster.iter() {
+        let mut rebuilt = Cluster::new().with_dims(self.effective_cluster().dims().clone());
+        for (id, spec) in self.effective_cluster().iter() {
             if self.observation.believed_dead.contains(&id) {
                 let zeroed = dynaplace_model::resources::Resources::new(vec![
                     0.0;
@@ -385,7 +392,7 @@ impl Simulation {
         // node until the placement is consistent; reconciliation re-issues
         // the rolled-back operations once the node drains.
         if !kept.is_empty() {
-            while let Err(err) = achieved.validate(&self.effective_cluster, &self.apps) {
+            while let Err(err) = achieved.validate(self.effective_cluster(), &self.apps) {
                 use dynaplace_model::error::ModelError;
                 let node = match err {
                     ModelError::MemoryExceeded { node } => node,
@@ -475,7 +482,7 @@ impl Simulation {
                     continue;
                 }
                 let capacity = self
-                    .effective_cluster
+                    .effective_cluster()
                     .node(node)
                     .map(|n| n.cpu_capacity())
                     .unwrap_or(CpuSpeed::ZERO);
@@ -528,10 +535,10 @@ impl Simulation {
         #[cfg(debug_assertions)]
         {
             self.placement
-                .validate(&self.effective_cluster, &self.apps)
+                .validate(self.effective_cluster(), &self.apps)
                 .expect("engine invariant: placement always valid");
             self.load
-                .validate(&self.placement, &self.effective_cluster, &self.apps)
+                .validate(&self.placement, self.effective_cluster(), &self.apps)
                 .expect("engine invariant: load always valid");
         }
         for app in ids {

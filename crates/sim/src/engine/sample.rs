@@ -54,7 +54,7 @@ impl Simulation {
         // demand vs. scheduler-visible capacity. Memory-only deployments
         // skip this entirely, keeping metrics and traces byte-identical
         // to the scalar-memory engine.
-        let dims = self.effective_cluster.dims();
+        let dims = self.effective_cluster().dims();
         let mut rigid_utilization = Vec::new();
         if dims.len() > 1 {
             let mut used = vec![0.0; dims.len()];
@@ -66,7 +66,7 @@ impl Simulation {
                 }
             }
             let mut capacity = vec![0.0; dims.len()];
-            for (_, spec) in self.effective_cluster.iter() {
+            for (_, spec) in self.effective_cluster().iter() {
                 for (d, c) in capacity.iter_mut().enumerate().skip(1) {
                     *c += spec.rigid_capacity().get(d);
                 }
@@ -129,7 +129,7 @@ impl Simulation {
                     let capacity: CpuSpeed = nodes
                         .iter()
                         .map(|&n| {
-                            self.effective_cluster
+                            self.effective_cluster()
                                 .node(n)
                                 .expect("static txn node exists")
                                 .cpu_capacity()

@@ -159,7 +159,7 @@ impl Simulation {
     /// The controller declares `node` dead on telemetry evidence alone:
     /// its residents are evicted through the same path a true failure
     /// takes and its capacity is zeroed in the controller's believed
-    /// cluster. The simulated truth (`effective_cluster`,
+    /// cluster. The simulated truth (the effective cluster,
     /// `failed_nodes`) is untouched — when the death is a false
     /// positive, reinstatement plus the normal desired/actual machinery
     /// restore service.
