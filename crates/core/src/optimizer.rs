@@ -681,10 +681,17 @@ pub(crate) fn optimize_scoped(
                 }
                 break 'sweeps;
             }
-            // Most-satisfied-first removal order for this node's residents.
-            let residents = removal_order(&best, incumbent.residents_on(node), scope);
+            // Most-satisfied-first removal order for this node's
+            // residents. A fill-only pass removes nothing, so it needs the
+            // order only to report the resident count to a verbose sink.
+            let verbose = sink.wants(TraceLevel::Verbose);
+            let residents = if allow_removals || verbose {
+                removal_order(&best, incumbent.residents_on(node), scope)
+            } else {
+                Vec::new()
+            };
             let max_removals = if allow_removals { residents.len() } else { 0 };
-            if sink.wants(TraceLevel::Verbose) {
+            if verbose {
                 sink.record(&TraceEvent::NodeEnter {
                     time: now,
                     sweep: sweep as u64,
@@ -695,7 +702,9 @@ pub(crate) fn optimize_scoped(
 
             // Intermediate loop: build every candidate for this node
             // first (k instances removed, then greedily refilled), …
-            let mut candidates: Vec<Placement> = Vec::with_capacity(max_removals + 1);
+            // Most nodes of a fill-only pass build none, so the vector
+            // allocates on its first push.
+            let mut candidates: Vec<Placement> = Vec::new();
             for k in 0..=max_removals {
                 // With nothing removed, the fill changes the placement
                 // only if some open application fits the node as it
@@ -760,7 +769,7 @@ pub(crate) fn optimize_scoped(
                 // jobs" tie-break used to live here to contain the flat
                 // clamp's indifference.)
                 if ordering != std::cmp::Ordering::Greater {
-                    if sink.wants(TraceLevel::Verbose) {
+                    if verbose {
                         sink.record(&TraceEvent::CandidateRejected {
                             time: now,
                             sweep: sweep as u64,
@@ -795,7 +804,7 @@ pub(crate) fn optimize_scoped(
                 };
                 if is_better {
                     node_best = Some((candidate, score, disruptions));
-                } else if sink.wants(TraceLevel::Verbose) {
+                } else if verbose {
                     // Adoptable, but displaced by an earlier candidate
                     // for this node.
                     sink.record(&TraceEvent::CandidateRejected {
@@ -841,7 +850,7 @@ pub(crate) fn optimize_scoped(
                 stats.adoptions += 1;
                 improved_any = true;
             }
-            if sink.wants(TraceLevel::Verbose) {
+            if verbose {
                 sink.record(&TraceEvent::NodeExit {
                     time: now,
                     sweep: sweep as u64,
