@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use dynaplace_batch::hypothetical::{evaluate_batch_placement, HypotheticalRpf, JobSnapshot};
-use dynaplace_batch::job::JobProfile;
+use dynaplace_batch::job::{JobProfile, JobStage};
 use dynaplace_model::ids::AppId;
 use dynaplace_model::units::{CpuSpeed, Memory, SimDuration, SimTime, Work};
 use dynaplace_rpf::goal::CompletionGoal;
@@ -212,6 +212,86 @@ proptest! {
             hypo.performances(omega).into_iter().collect();
         for pair in order.windows(2) {
             prop_assert!(perf[&pair[0]] <= perf[&pair[1]]);
+        }
+    }
+}
+
+/// [`JobSnapshot::demand_for`] as it was written before its
+/// level-independent terms moved into [`JobSnapshot::demand_curve`]: the
+/// reference the hoisted curve must reproduce bit for bit.
+fn reference_demand(snap: &JobSnapshot, now: SimTime, u: Rp) -> CpuSpeed {
+    let remaining = snap.remaining_work();
+    if remaining.is_zero() {
+        return CpuSpeed::ZERO;
+    }
+    let target = u.min(snap.u_max(now));
+    let completion = snap.goal().completion_for(target);
+    let available = completion.max(snap.earliest_completion(now)) - now;
+    remaining / available
+}
+
+/// A job of one to three stages, each with its own speed range.
+fn arb_stages() -> impl Strategy<Value = Vec<(f64, f64, f64)>> {
+    proptest::collection::vec((100.0..1e6f64, 50.0..5_000.0f64, 0.0..1.0f64), 1..4)
+}
+
+/// A level: anywhere in the healthy range, or a sub-floor band value.
+fn arb_level() -> impl Strategy<Value = Rp> {
+    prop_oneof![
+        (-10.0..1.0f64).prop_map(Rp::new),
+        (0.0..1e3f64).prop_map(Rp::banded_from_lateness),
+        Just(Rp::MIN),
+        Just(Rp::FLOOR),
+        Just(Rp::MAX),
+    ]
+}
+
+proptest! {
+    /// The hoisted demand curve returns the pre-hoisting formula's bits
+    /// for multi-stage and parallel jobs, finished jobs, hopeless
+    /// (sub-floor) jobs, and every level including the sub-floor band.
+    #[test]
+    fn demand_curve_matches_demand_formula(
+        stages in arb_stages(),
+        tasks in 1u32..5,
+        goal_factor in 1.05..6.0f64,
+        progress in prop_oneof![0.0..1.0f64, Just(1.0)],
+        delayed in any::<bool>(),
+        elapsed in prop_oneof![0.0..100.0f64, 1e3..1e6f64],
+        levels in proptest::collection::vec(arb_level(), 1..12),
+    ) {
+        let start = SimTime::from_secs(100.0);
+        let profile = JobProfile::new(
+            stages
+                .iter()
+                .map(|&(work, max, min_frac)| {
+                    JobStage::new(
+                        Work::from_mcycles(work),
+                        CpuSpeed::from_mhz(max),
+                        CpuSpeed::from_mhz(max * min_frac),
+                        Memory::from_mb(500.0),
+                    )
+                })
+                .collect(),
+        );
+        let goal = CompletionGoal::from_goal_factor(start, profile.min_execution_time(), goal_factor);
+        let consumed = Work::from_mcycles(profile.total_work().as_mcycles() * progress);
+        let snap = JobSnapshot::new(
+            AppId::new(0),
+            goal,
+            Arc::new(profile),
+            consumed,
+            if delayed { SimDuration::from_secs(60.0) } else { SimDuration::ZERO },
+        )
+        .with_parallelism(tasks);
+        // Far past the deadline the job is hopeless: its u_max is banded.
+        let now = start + SimDuration::from_secs(elapsed);
+        let curve = snap.demand_curve(now);
+        prop_assert_eq!(curve.u_max(), snap.u_max(now));
+        for u in levels {
+            let expected = reference_demand(&snap, now, u);
+            prop_assert_eq!(curve.at(u).as_mhz().to_bits(), expected.as_mhz().to_bits());
+            prop_assert_eq!(snap.demand_for(now, u).as_mhz().to_bits(), expected.as_mhz().to_bits());
         }
     }
 }

@@ -296,7 +296,9 @@ mod tests {
         let cache = ScoreCache::new();
         let slot = 7;
         let bits = 0.5f64.to_bits();
-        let first = cache.demand_row(bits, 8).get_or_insert_with(slot, || 1234.5678);
+        let first = cache
+            .demand_row(bits, 8)
+            .get_or_insert_with(slot, || 1234.5678);
         // A second computation is never invoked: the closure would panic.
         let second = cache
             .demand_row(bits, 8)

@@ -165,7 +165,10 @@ pub(crate) fn distribute_with(
                 .cpu_capacity()
                 .as_mhz();
             counted += count;
-            cells.push((node.index(), (max.as_mhz() * f64::from(count)).min(node_cap)));
+            cells.push((
+                node.index(),
+                (max.as_mhz() * f64::from(count)).min(node_cap),
+            ));
             hosts.push(node);
         }
         if cells.is_empty() {
@@ -637,6 +640,7 @@ mod tests {
     use dynaplace_model::units::{Memory, SimDuration, SimTime, Work};
     use dynaplace_rpf::goal::{CompletionGoal, ResponseTimeGoal};
     use dynaplace_txn::model::{TxnPerformanceModel, TxnWorkload};
+    use proptest::prelude::*;
 
     fn mhz(x: f64) -> CpuSpeed {
         CpuSpeed::from_mhz(x)
@@ -1101,5 +1105,104 @@ mod tests {
         }
         load.validate(&world.placement, &world.cluster, &world.apps)
             .unwrap();
+    }
+
+    /// A router over hosts `0..capacities.len()`.
+    fn router(capacities: &[f64], routes: Vec<Route>) -> Router {
+        let hosts = (0..capacities.len() as u32).map(NodeId::new).collect();
+        Router::new(routes, hosts, capacities.to_vec())
+    }
+
+    proptest! {
+        /// With every application on one node, a raised probe replayed on
+        /// the probed app's node alone gives the same verdict as routing
+        /// the whole patched vector, and leaves `base` as it was. Probes
+        /// land at random, exactly on the node's slack, just inside, on
+        /// and just outside the feasibility slack, and past the app's
+        /// cap. Zero-capacity (failed) nodes make the boundary exact.
+        #[test]
+        fn node_local_probe_matches_full_routability(
+            capacities in proptest::collection::vec(
+                prop_oneof![100.0..2_000.0f64, Just(0.0)],
+                1..6,
+            ),
+            apps in proptest::collection::vec(
+                (0usize..6, 10.0..1_500.0f64, 0.0..1.0f64, 0u8..6, 0.0..2.0f64),
+                1..12,
+            ),
+        ) {
+            let hosts = capacities.len();
+            let routes: Vec<Route> = apps
+                .iter()
+                .map(|&(pick, cap, ..)| Route { cells: vec![(pick % hosts, cap)], cap_total: cap })
+                .collect();
+            // A routable base: each app asks a share of its cap, scaled
+            // down on any node it would overfill.
+            let mut base: Vec<f64> = apps
+                .iter()
+                .map(|&(_, cap, share, ..)| cap * share)
+                .collect();
+            let mut load = vec![0.0; hosts];
+            for (route, d) in routes.iter().zip(&base) {
+                load[route.cells[0].0] += d;
+            }
+            for (route, d) in routes.iter().zip(base.iter_mut()) {
+                let h = route.cells[0].0;
+                if load[h] > capacities[h] {
+                    *d *= 0.999 * capacities[h] / load[h];
+                }
+            }
+            let mut router = router(&capacities, routes);
+            prop_assume!(router.routable(&base));
+            let kept = base.clone();
+            for (i, &(_, cap, _, kind, factor)) in apps.iter().enumerate() {
+                let h = router.routes[i].cells[0].0;
+                let others: f64 = (0..apps.len())
+                    .filter(|&j| j != i && router.routes[j].cells[0].0 == h)
+                    .map(|j| base[j])
+                    .sum();
+                let slack = capacities[h] - others;
+                let probe = match kind {
+                    0 => base[i] + factor * cap,
+                    1 => slack,
+                    2 => slack + 0.5 * FEAS_EPS,
+                    3 => slack + FEAS_EPS,
+                    4 => slack + 2.0 * FEAS_EPS,
+                    _ => cap + factor * FEAS_EPS,
+                };
+                let mut patched = base.clone();
+                patched[i] = probe;
+                let full = router.routable(&patched);
+                prop_assert_eq!(router.fits_raised(&mut base, i, probe), full);
+                prop_assert_eq!(&base, &kept);
+            }
+        }
+    }
+
+    /// With an application spanning two nodes, a raised probe must go
+    /// through the full routing: replaying the probed app's node alone
+    /// would miss that the multi-node app loses its share there.
+    #[test]
+    fn raised_probe_with_a_multi_node_app_routes_everything() {
+        let single = Route {
+            cells: vec![(0, 1_000.0)],
+            cap_total: 1_000.0,
+        };
+        let spanning = Route {
+            cells: vec![(0, 1_000.0), (1, 500.0)],
+            cap_total: 1_500.0,
+        };
+        let mut router = router(&[1_000.0, 1_000.0], vec![single, spanning]);
+        let mut base = vec![400.0, 1_000.0];
+        assert!(router.routable(&base));
+        // Node 0 alone still fits 550 MHz for the single-node app, but
+        // the spanning app can then reach only 450 + 500 < 1,000 MHz.
+        assert!(!router.fits_raised(&mut base, 0, 550.0));
+        assert!(router.fits_raised(&mut base, 0, 500.0));
+        assert!(
+            router.by_host.is_none(),
+            "must not take the node-local path"
+        );
+        assert_eq!(base, vec![400.0, 1_000.0]);
     }
 }
