@@ -313,7 +313,7 @@ pub(crate) fn distribute_with(
     }
 
     let mut load = router.extract(&apps)?;
-    residual_fill(&apps, &mut router, &mut load, cache.map(|c| (c, slots)));
+    residual_fill(&apps, &mut router, &mut load, demand_row(Rp::MAX.value()));
     Some(load)
 }
 
@@ -324,12 +324,12 @@ pub(crate) fn distribute_with(
 /// nothing — still consume the capacity nobody else wants: best-effort
 /// service instead of idle CPUs.
 ///
-/// `memo` is the score cache and the number of slots in its demand rows.
+/// `row` is the demand memo's row at `Rp::MAX`, when memoizing.
 fn residual_fill(
     apps: &[PlacedApp<'_>],
     router: &mut Router,
     load: &mut LoadDistribution,
-    memo: Option<(&ScoreCache, usize)>,
+    mut row: Option<DemandRow<'_>>,
 ) {
     let Router {
         routes,
@@ -349,7 +349,6 @@ fn residual_fill(
     // the water-filler memoizes (Rp::new clamps, so Rp::new(MAX) ==
     // MAX); the transactional arm is a different function, kept
     // uncached.
-    let mut row = memo.map(|(c, slots)| c.demand_row(Rp::MAX.value().to_bits(), slots));
     for (pa, route) in apps.iter().zip(routes.iter()) {
         let appetite_total = match (pa.demand, row.as_mut()) {
             (Demand::Transactional(m), _) => m.max_useful_demand().as_mhz(),
