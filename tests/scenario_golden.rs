@@ -579,3 +579,334 @@ fn metrics_wire_format_matches_golden() {
         );
     }
 }
+
+/// One event of every `TraceEvent` kind, as the decision trace writes
+/// them (compact, one per line). The or-pattern match has no wildcard,
+/// so a new kind fails to compile here until it joins the list.
+fn one_event_per_kind() -> Vec<dynaplace::trace::TraceEvent> {
+    use dynaplace::model::ids::{AppId, NodeId};
+    use dynaplace::trace::{CacheCounters, EscalationReason, OptimizeMode, Phase, TraceEvent as E};
+
+    let events = vec![
+        E::CycleStart {
+            time: 300.0,
+            cycle: 1,
+        },
+        E::PhaseSpan {
+            time: 300.0,
+            cycle: 1,
+            phase: Phase::Reconcile,
+            wall_secs: 0.004217,
+        },
+        E::OptimizeStart {
+            time: 300.0,
+            mode: OptimizeMode::FillOnly,
+            apps: 5,
+            nodes: 4,
+        },
+        E::OptimizeEnd {
+            time: 300.0,
+            evaluations: 120,
+            sweeps: 2,
+            adoptions: 3,
+            timed_out: true,
+        },
+        E::NodeEnter {
+            time: 300.0,
+            sweep: 0,
+            node: NodeId::new(2),
+            residents: 3,
+        },
+        E::NodeExit {
+            time: 300.0,
+            sweep: 0,
+            node: NodeId::new(2),
+            candidates: 7,
+            adopted: false,
+        },
+        E::CandidateAccepted {
+            time: 300.0,
+            sweep: 1,
+            node: NodeId::new(0),
+            delta: 0.125,
+            disruptions: 2,
+            threshold: 0.02,
+        },
+        E::CandidateRejected {
+            time: 300.0,
+            sweep: 1,
+            node: NodeId::new(0),
+            delta: -1.0e-7,
+            disruptions: 4,
+            threshold: 0.001,
+        },
+        E::TxnExpanded {
+            time: 300.0,
+            app: AppId::new(1),
+            node: NodeId::new(3),
+            delta: 0.05,
+        },
+        E::CachePassStats {
+            time: 300.0,
+            counters: CacheCounters {
+                score_hits: 1,
+                score_misses: 2,
+                demand_hits: 3,
+                demand_misses: 4,
+                batch_hits: 5,
+                batch_misses: 6,
+                column_hits: 7,
+                column_misses: 8,
+            },
+        },
+        E::DeadlineTruncated {
+            time: 300.0,
+            sweep: 1,
+            evaluations: 55,
+        },
+        E::OpResolved {
+            time: 310.5,
+            cycle: 1,
+            app: AppId::new(4),
+            node: NodeId::new(0),
+            op: "migrate",
+            attempt: 3,
+            outcome: "timed_out",
+            latency_secs: 13.2,
+        },
+        E::OpDeferred {
+            time: 310.5,
+            cycle: 1,
+            app: AppId::new(4),
+            node: NodeId::new(0),
+            reason: "backoff",
+        },
+        E::Quarantined {
+            time: 310.5,
+            cycle: 1,
+            app: AppId::new(4),
+            node: NodeId::new(0),
+        },
+        E::ReconcileDiff {
+            time: 600.0,
+            cycle: 2,
+            pending: 3,
+        },
+        E::CellEnter {
+            time: 300.0,
+            cell: 2,
+            nodes: 64,
+            apps: 17,
+        },
+        E::CellExit {
+            time: 300.0,
+            cell: 2,
+            evaluations: 400,
+            adoptions: 6,
+            timed_out: false,
+        },
+        E::CellEscalated {
+            time: 300.0,
+            app: AppId::new(9),
+            reason: EscalationReason::MultiCellPlacement,
+        },
+        E::RebalanceMove {
+            time: 300.0,
+            app: AppId::new(5),
+            from_cell: 0,
+            to_cell: 3,
+            delta: 0.04,
+            adopted: true,
+        },
+        E::RigidUtilization {
+            time: 300.0,
+            cycle: 1,
+            dim: "disk_mb".to_string(),
+            used: 1_024.0,
+            capacity: 4_096.5,
+        },
+        E::StarvationBreak {
+            time: 4_200.0,
+            cycles: 64,
+            apps: vec![AppId::new(1), AppId::new(2)],
+        },
+        E::HeartbeatMissed {
+            time: 300.0,
+            cycle: 1,
+            node: NodeId::new(2),
+            consecutive: 3,
+        },
+        E::NodeSuspected {
+            time: 300.0,
+            cycle: 1,
+            node: NodeId::new(2),
+            misses: 2,
+        },
+        E::NodeDeclaredDead {
+            time: 600.0,
+            cycle: 2,
+            node: NodeId::new(2),
+            misses: 4,
+        },
+        E::NodeReinstated {
+            time: 1_200.0,
+            cycle: 4,
+            node: NodeId::new(2),
+        },
+        E::StaleHold {
+            time: 600.0,
+            cycle: 2,
+            age_cycles: 3,
+            budget: 1,
+            mode: "hold",
+        },
+        E::PolicyInvoked {
+            time: 600.0,
+            cycle: 1,
+            policy: "vector-bin-packing".to_string(),
+            class: "baseline".to_string(),
+        },
+        E::DemandEstimate {
+            time: 300.0,
+            cycle: 1,
+            app: AppId::new(3),
+            observed: 42.5,
+            estimate: 51.0,
+        },
+    ];
+    for event in &events {
+        match event {
+            E::CycleStart { .. }
+            | E::PhaseSpan { .. }
+            | E::OptimizeStart { .. }
+            | E::OptimizeEnd { .. }
+            | E::NodeEnter { .. }
+            | E::NodeExit { .. }
+            | E::CandidateAccepted { .. }
+            | E::CandidateRejected { .. }
+            | E::TxnExpanded { .. }
+            | E::CachePassStats { .. }
+            | E::DeadlineTruncated { .. }
+            | E::OpResolved { .. }
+            | E::OpDeferred { .. }
+            | E::Quarantined { .. }
+            | E::ReconcileDiff { .. }
+            | E::CellEnter { .. }
+            | E::CellExit { .. }
+            | E::CellEscalated { .. }
+            | E::RebalanceMove { .. }
+            | E::RigidUtilization { .. }
+            | E::StarvationBreak { .. }
+            | E::HeartbeatMissed { .. }
+            | E::NodeSuspected { .. }
+            | E::NodeDeclaredDead { .. }
+            | E::NodeReinstated { .. }
+            | E::StaleHold { .. }
+            | E::PolicyInvoked { .. }
+            | E::DemandEstimate { .. } => {}
+        }
+    }
+    events
+}
+
+/// Pins the decision-trace wire format byte for byte, one line per
+/// event kind: `mixed_workload.trace.jsonl` only reaches the kinds that
+/// scenario emits. Every line must also decode back to its event.
+#[test]
+fn trace_event_wire_format_matches_golden() {
+    use dynaplace::trace::TraceEvent;
+    use dynaplace_json::Json;
+
+    let events = one_event_per_kind();
+    let kinds: std::collections::BTreeSet<&str> = events.iter().map(TraceEvent::kind).collect();
+    assert_eq!(kinds.len(), 28, "one event per kind, each kind once");
+    let mut wire = String::new();
+    for event in &events {
+        let line = event.to_json().compact();
+        let back = TraceEvent::from_json(&Json::parse(&line).expect("a trace line is JSON"))
+            .unwrap_or_else(|e| panic!("{line} does not decode: {e}"));
+        assert_eq!(&back, event, "{line}");
+        writeln!(wire, "{line}").unwrap();
+    }
+    assert_matches_golden_file("wire/trace_events.jsonl", "trace event wire form", &wire);
+}
+
+/// Pins the wire form of every variant of the four tagged scenario
+/// enums (`arrivals`, `goal`, `process`, `curve`); the checked-in
+/// scenarios reach only some of them. Every entry must decode back to
+/// a value that prints the same.
+#[test]
+fn tagged_spec_wire_format_matches_golden() {
+    use dynaplace::sim::spec::{ArrivalSpec, GoalSpec, ProcessSpec, TxnCurveSpec};
+    use dynaplace_json::{FromJson, Json, ToJson};
+
+    fn entries<T: ToJson + FromJson>(values: &[T]) -> Json {
+        Json::Arr(
+            values
+                .iter()
+                .map(|value| {
+                    let json = value.to_json();
+                    let back = T::from_json(&json)
+                        .unwrap_or_else(|e| panic!("{} does not decode: {e}", json.compact()));
+                    assert_eq!(back.to_json(), json);
+                    json
+                })
+                .collect(),
+        )
+    }
+
+    let doc = dynaplace_json::obj([
+        (
+            "arrivals",
+            entries(&[
+                ArrivalSpec::Exponential { mean_secs: 120.0 },
+                ArrivalSpec::Periodic { every_secs: 15.5 },
+                ArrivalSpec::At(vec![0.0, 30.0, 1_800.25]),
+            ]),
+        ),
+        (
+            "goal",
+            entries(&[GoalSpec::Factor(2.5), GoalSpec::RelativeSecs(3_600.0)]),
+        ),
+        (
+            "process",
+            entries(&[
+                ProcessSpec::Poisson { rate_per_sec: 0.05 },
+                ProcessSpec::Mmpp {
+                    states: vec![(0.2, 600.0), (0.01, 3_000.0)],
+                },
+                ProcessSpec::Diurnal {
+                    base_rate_per_sec: 1.2,
+                    amplitude: 0.8,
+                    period_secs: 86_400.0,
+                },
+                ProcessSpec::FlashCrowd {
+                    base_rate_per_sec: 0.1,
+                    multiplier: 10.0,
+                    every_secs: 7_200.0,
+                    duration_secs: 300.0,
+                },
+            ]),
+        ),
+        (
+            "curve",
+            entries(&[
+                TxnCurveSpec::Constant { rate_per_sec: 40.0 },
+                TxnCurveSpec::Diurnal {
+                    base_rate_per_sec: 50.0,
+                    amplitude_per_sec: 25.0,
+                    period_secs: 86_400.0,
+                },
+                TxnCurveSpec::Population {
+                    users: 200.0,
+                    think_time_secs: 5.0,
+                },
+            ]),
+        ),
+    ]);
+    assert_matches_golden_file(
+        "wire/tagged_specs.json",
+        "tagged spec wire form",
+        &doc.pretty(),
+    );
+}
