@@ -4,7 +4,9 @@
 //! scenario, or `simulate --trace`) and prints a per-cycle "why"
 //! narrative: which candidates the optimizer accepted and on what
 //! relative-performance grounds, which operations failed or were
-//! quarantined, and how long each phase took.
+//! quarantined, and how long each phase took. Exits non-zero when any
+//! line does not decode as a trace event (each such line prints as
+//! `?? <line>`).
 //!
 //! With `--strip`, prints the deterministic form instead (wall-clock
 //! fields removed) — the representation golden tests and CI diff.
@@ -12,7 +14,7 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
-use dynaplace_json::Json;
+use dynaplace_json::{FromJson, Json};
 use dynaplace_trace::{strip_nondeterministic, TraceEvent};
 
 fn main() -> ExitCode {
@@ -71,6 +73,7 @@ fn main() -> ExitCode {
     let _ = out.flush();
     if malformed > 0 {
         eprintln!("warning: {malformed} lines did not parse as trace events");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

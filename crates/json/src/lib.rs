@@ -49,10 +49,16 @@ pub struct JsonError {
 }
 
 impl JsonError {
-    fn new(message: impl Into<String>) -> Self {
+    /// An error with the given message.
+    pub fn new(message: impl Into<String>) -> Self {
         JsonError {
             message: message.into(),
         }
+    }
+
+    /// Prefixes the message with where the error happened.
+    pub fn context(self, context: impl fmt::Display) -> Self {
+        JsonError::new(format!("{context}: {}", self.message))
     }
 }
 
@@ -225,10 +231,17 @@ impl Json {
 
     /// Typed field extraction: `obj.field::<f64>("cpu_mhz")`.
     pub fn field<T: FromJson>(&self, key: &str) -> Result<T> {
+        self.field_with(key, T::from_json)
+    }
+
+    /// Field extraction through `read`; an error names the key.
+    pub fn field_with<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Result<T>,
+    ) -> Result<T> {
         match self.get(key) {
-            Some(v) => {
-                T::from_json(v).map_err(|e| JsonError::new(format!("field '{key}': {}", e.message)))
-            }
+            Some(v) => read(v).map_err(|e| e.context(format_args!("field '{key}'"))),
             None => Err(JsonError::new(format!("missing field '{key}'"))),
         }
     }
@@ -237,9 +250,7 @@ impl Json {
     pub fn field_or_else<T: FromJson>(&self, key: &str, default: impl FnOnce() -> T) -> Result<T> {
         match self.get(key) {
             None | Some(Json::Null) => Ok(default()),
-            Some(v) => {
-                T::from_json(v).map_err(|e| JsonError::new(format!("field '{key}': {}", e.message)))
-            }
+            Some(_) => self.field(key),
         }
     }
 }
@@ -575,9 +586,7 @@ impl ToJson for String {
 
 impl FromJson for String {
     fn from_json(v: &Json) -> Result<Self> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| JsonError::new("expected a string"))
+        string(v).map(str::to_string)
     }
 }
 
@@ -671,6 +680,52 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
     )
 }
 
+/// Reads a string that must be one of `words`, returning the table's
+/// own `&'static str`; any other string is an error listing the words.
+pub fn one_of(v: &Json, words: &[&'static str]) -> Result<&'static str> {
+    let word = string(v)?;
+    words
+        .iter()
+        .copied()
+        .find(|w| *w == word)
+        .ok_or_else(|| unknown_name(word, words))
+}
+
+/// The value as a string slice, or an error.
+#[doc(hidden)]
+pub fn string(v: &Json) -> Result<&str> {
+    v.as_str()
+        .ok_or_else(|| JsonError::new("expected a string"))
+}
+
+/// The error for a name outside a closed table.
+#[doc(hidden)]
+pub fn unknown_name(name: &str, names: &[&str]) -> JsonError {
+    JsonError::new(format!(
+        "unknown name {name:?}, expected one of {}",
+        names.join("|")
+    ))
+}
+
+/// The one key of an externally tagged object and its value.
+#[doc(hidden)]
+pub fn single_key<'a>(v: &'a Json, names: &[&str]) -> Result<(&'a str, &'a Json)> {
+    match v {
+        Json::Obj(fields) if fields.len() == 1 => Ok((&fields[0].0, &fields[0].1)),
+        _ => Err(JsonError::new(format!(
+            "expected an object with exactly one key of {}, got {}",
+            names.join("|"),
+            v.compact()
+        ))),
+    }
+}
+
+/// Runs `read`, prefixing any error with `context` (a variant's name).
+#[doc(hidden)]
+pub fn within<T>(context: &str, read: impl FnOnce() -> Result<T>) -> Result<T> {
+    read().map_err(|e| e.context(context))
+}
+
 /// Derives [`ToJson`] and [`FromJson`] for a struct whose wire form is
 /// an object keyed by its field names, from one ordered field table.
 /// The table is the single description of the format: each entry names
@@ -683,6 +738,11 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
 /// - `field` — required on read; always written.
 /// - `field: default` — absent or `null` reads as `Default::default()`.
 /// - `field: default(expr)` — absent or `null` reads as `expr`.
+/// - `field: flatten` — the field's own object is spliced inline: its
+///   keys are written in place of `field`, and it reads from the
+///   enclosing object.
+/// - `field: one_of(WORDS)` — a `&'static str` field that reads only a
+///   word of the `&[&'static str]` table `WORDS` (see [`one_of`]).
 ///
 /// A defaulted entry may add a write rule, `omit_if none` (skip the key
 /// when the value is `None`), `omit_if empty` (when `is_empty()`), or
@@ -694,6 +754,9 @@ pub fn obj(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
 /// is a `fn(&Json) -> Cow<'_, Json>` that may rewrite the object before
 /// its fields are read (legacy layouts), borrowing it unchanged
 /// otherwise.
+///
+/// The same entries describe the fields of each variant in a
+/// [`json_enum!`] table.
 ///
 /// ```
 /// use dynaplace_json::{json_object, FromJson, Json, ToJson};
@@ -737,22 +800,12 @@ macro_rules! json_object {
             }
         }
     };
-    (
-        $ty:ty $(, read_via = $pre:path)? {
-            $($field:ident $(: default $(($default:expr))? $(omit_if $omit:ident)?)?),* $(,)?
-        }
-    ) => {
+    ($ty:ty $(, read_via = $pre:path)? { $($entries:tt)* }) => {
         impl $crate::ToJson for $ty {
             fn to_json(&self) -> $crate::Json {
                 let mut fields = Vec::new();
-                $(
-                    if !$crate::__json_omit!(self.$field $($(, $omit)?)?) {
-                        fields.push((
-                            stringify!($field).to_string(),
-                            $crate::ToJson::to_json(&self.$field),
-                        ));
-                    }
-                )*
+                let $crate::__json_body!(pattern (Self) value { $($entries)* }) = self;
+                $crate::__json_body!(write_into fields { $($entries)* });
                 $crate::Json::Obj(fields)
             }
         }
@@ -760,11 +813,234 @@ macro_rules! json_object {
         impl $crate::FromJson for $ty {
             fn from_json(v: &$crate::Json) -> $crate::Result<Self> {
                 $(let v: &$crate::Json = &$pre(v);)?
-                Ok(Self {
-                    $($field: $crate::__json_read!(v, $field $(, default $(, $default)?)?),)*
-                })
+                Ok($crate::__json_body!(read (Self) v { $($entries)* }))
             }
         }
+    };
+}
+
+/// Derives the codec of an enum from one ordered variant table, in one
+/// of three forms. Each table row is `Variant = "name"`, where `"name"`
+/// is the variant's wire name; a struct variant adds its fields in
+/// braces, written with the [`json_object!`] entry grammar (table order
+/// is wire order, and every field must appear), and a newtype variant
+/// adds its type in parentheses.
+///
+/// - **Unit-variant name table**, `Enum { Variant = "name", ... }`: the
+///   value is its name as a JSON string. Derives `name(self)` and
+///   `from_name(&str) -> Option<Self>` alongside [`ToJson`] and
+///   [`FromJson`]; the enum must be `Copy`.
+/// - **External single-key tag**, `Enum { Variant = "name" { fields },
+///   Other = "other" (Type), ... }`: a struct variant is
+///   `{"name": {fields}}` and a newtype variant `{"name": value}`. An
+///   object with zero or several keys is an error listing the names.
+/// - **Internal tag**, `Enum, tag = "key", name = accessor { Variant =
+///   "name" { fields }, ... }`: one flat object, the tag key first and
+///   then the variant's fields. Derives `accessor(&self)`, the
+///   variant's wire name.
+///
+/// Decoding errors in a variant's fields are prefixed with its name,
+/// and an unknown name is an error listing the known ones.
+///
+/// ```
+/// use dynaplace_json::{json_enum, FromJson, Json, ToJson};
+///
+/// #[derive(Debug, Clone, Copy, PartialEq)]
+/// enum Level {
+///     Low,
+///     High,
+/// }
+///
+/// json_enum!(Level { Low = "low", High = "high" });
+///
+/// assert_eq!(Level::High.name(), "high");
+/// assert_eq!(Level::from_name("low"), Some(Level::Low));
+/// assert_eq!(Level::High.to_json().compact(), r#""high""#);
+/// assert!(Level::from_json(&Json::Str("medium".into())).is_err());
+/// ```
+///
+/// ```
+/// use dynaplace_json::{json_enum, FromJson, Json, ToJson};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Arrivals {
+///     Periodic { every_secs: f64 },
+///     At(Vec<f64>),
+/// }
+///
+/// json_enum!(Arrivals {
+///     Periodic = "periodic" { every_secs },
+///     At = "at" (Vec<f64>),
+/// });
+///
+/// let periodic = Arrivals::Periodic { every_secs: 15.0 };
+/// assert_eq!(periodic.to_json().compact(), r#"{"periodic":{"every_secs":15.0}}"#);
+/// let at = Json::parse(r#"{"at": [0, 30]}"#).unwrap();
+/// assert_eq!(Arrivals::from_json(&at).unwrap(), Arrivals::At(vec![0.0, 30.0]));
+/// let both = Json::parse(r#"{"at": [0], "periodic": {"every_secs": 1}}"#).unwrap();
+/// assert!(Arrivals::from_json(&both).is_err());
+/// ```
+///
+/// ```
+/// use dynaplace_json::{json_enum, FromJson, Json, ToJson};
+///
+/// #[derive(Debug, PartialEq)]
+/// enum Event {
+///     Start { time: f64, cycle: u64 },
+///     Span { time: f64, wall_secs: f64 },
+/// }
+///
+/// json_enum!(Event, tag = "ev", name = kind {
+///     Start = "start" { time, cycle },
+///     Span = "span" { time, wall_secs: default },
+/// });
+///
+/// let start = Event::Start { time: 1.5, cycle: 2 };
+/// assert_eq!(start.kind(), "start");
+/// assert_eq!(start.to_json().compact(), r#"{"ev":"start","time":1.5,"cycle":2.0}"#);
+/// let span = Json::parse(r#"{"ev": "span", "time": 3}"#).unwrap();
+/// assert_eq!(Event::from_json(&span).unwrap(), Event::Span { time: 3.0, wall_secs: 0.0 });
+/// let bad = Json::parse(r#"{"ev": "start", "time": 0, "cycle": 1.5}"#).unwrap();
+/// assert!(Event::from_json(&bad).is_err());
+/// ```
+#[macro_export]
+macro_rules! json_enum {
+    ($ty:ident, tag = $tag:literal, name = $accessor:ident {
+        $($var:ident = $name:literal $body:tt),+ $(,)?
+    }) => {
+        impl $ty {
+            #[doc = concat!("The variant's wire name, its `\"", $tag, "\"` tag.")]
+            pub fn $accessor(&self) -> &'static str {
+                match self {
+                    $($ty::$var { .. } => $name,)+
+                }
+            }
+        }
+
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                let mut fields = vec![(
+                    $tag.to_string(),
+                    $crate::Json::Str(self.$accessor().to_string()),
+                )];
+                match self {
+                    $($crate::__json_body!(pattern ($ty::$var) value $body) => {
+                        $crate::__json_body!(write_into fields $body);
+                    })+
+                }
+                $crate::Json::Obj(fields)
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(v: &$crate::Json) -> $crate::Result<Self> {
+                let tag = v.field_with($tag, $crate::string)?;
+                match tag {
+                    $($name => $crate::within($name, || {
+                        Ok($crate::__json_body!(read ($ty::$var) v $body))
+                    }),)+
+                    other => Err($crate::unknown_name(other, &[$($name),+])
+                        .context(format_args!("field '{}'", $tag))),
+                }
+            }
+        }
+    };
+    ($ty:ident { $($var:ident = $name:literal),+ $(,)? }) => {
+        impl $ty {
+            /// Stable wire name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($ty::$var => $name,)+
+                }
+            }
+
+            /// Parses a wire name; `None` for a name no variant has.
+            pub fn from_name(name: &str) -> Option<Self> {
+                match name {
+                    $($name => Some($ty::$var),)+
+                    _ => None,
+                }
+            }
+        }
+
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                $crate::Json::Str(self.name().to_string())
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(v: &$crate::Json) -> $crate::Result<Self> {
+                let name = $crate::string(v)?;
+                Self::from_name(name).ok_or_else(|| $crate::unknown_name(name, &[$($name),+]))
+            }
+        }
+    };
+    ($ty:ident { $($var:ident = $name:literal $body:tt),+ $(,)? }) => {
+        impl $crate::ToJson for $ty {
+            fn to_json(&self) -> $crate::Json {
+                let (name, value) = match self {
+                    $($crate::__json_body!(pattern ($ty::$var) value $body) => {
+                        ($name, $crate::__json_body!(write value $body))
+                    })+
+                };
+                $crate::Json::Obj(vec![(name.to_string(), value)])
+            }
+        }
+
+        impl $crate::FromJson for $ty {
+            fn from_json(v: &$crate::Json) -> $crate::Result<Self> {
+                const NAMES: &[&str] = &[$($name),+];
+                let (name, inner) = $crate::single_key(v, NAMES)?;
+                match name {
+                    $($name => $crate::within($name, || {
+                        Ok($crate::__json_body!(read ($ty::$var) inner $body))
+                    }),)+
+                    other => Err($crate::unknown_name(other, NAMES)),
+                }
+            }
+        }
+    };
+}
+
+/// One body of a [`json_object!`] or [`json_enum!`] table: a struct's
+/// or struct variant's `{ entries }`, or a newtype variant's `(Type)`.
+/// Gives the body's pattern (binding each field, or the newtype's value
+/// to `$value`), its written value or fields, and its read from `$v`.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_body {
+    (pattern ($($path:tt)*) $value:ident
+        { $($field:ident $(: $rule:ident $(($arg:expr))? $(omit_if $omit:ident)?)?),* $(,)? }) => {
+        $($path)* { $($field),* }
+    };
+    (pattern ($($path:tt)*) $value:ident ($t:ty)) => {
+        $($path)*($value)
+    };
+    (write_into $fields:ident
+        { $($field:ident $(: $rule:ident $(($arg:expr))? $(omit_if $omit:ident)?)?),* $(,)? }) => {
+        $(
+            if !$crate::__json_omit!($field $($(, $omit)?)?) {
+                $crate::__json_write!($fields, $field, $field $(, $rule)?);
+            }
+        )*
+    };
+    (write $value:ident { $($entries:tt)* }) => {{
+        let mut fields = Vec::new();
+        $crate::__json_body!(write_into fields { $($entries)* });
+        $crate::Json::Obj(fields)
+    }};
+    (write $value:ident ($t:ty)) => {
+        $crate::ToJson::to_json($value)
+    };
+    (read ($($path:tt)*) $v:ident
+        { $($field:ident $(: $rule:ident $(($arg:expr))? $(omit_if $omit:ident)?)?),* $(,)? }) => {
+        $($path)* {
+            $($field: $crate::__json_read!($v, $field $(, $rule $(, $arg)?)?),)*
+        }
+    };
+    (read ($($path:tt)*) $v:ident ($t:ty)) => {
+        $($path)*(<$t as $crate::FromJson>::from_json($v)?)
     };
 }
 
@@ -781,9 +1057,34 @@ macro_rules! __json_read {
     ($v:ident, $field:ident, default, $default:expr) => {
         $v.field_or_else(stringify!($field), || $default)?
     };
+    ($v:ident, $field:ident, flatten) => {
+        $crate::FromJson::from_json($v)?
+    };
+    ($v:ident, $field:ident, one_of, $words:expr) => {
+        $v.field_with(stringify!($field), |word| $crate::one_of(word, $words))?
+    };
 }
 
-/// The write rule of one [`json_object!`] entry: whether to omit it.
+/// The write rule of one [`json_object!`] entry, given a reference to
+/// the field's value.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __json_write {
+    ($fields:ident, $field:ident, $value:expr, flatten) => {
+        if let $crate::Json::Obj(inner) = $crate::ToJson::to_json($value) {
+            $fields.extend(inner);
+        }
+    };
+    ($fields:ident, $field:ident, $value:expr $(, $rule:ident)?) => {
+        $fields.push((
+            stringify!($field).to_string(),
+            $crate::ToJson::to_json($value),
+        ))
+    };
+}
+
+/// The omission rule of one [`json_object!`] entry, given a reference
+/// to the field's value: whether to skip it.
 #[doc(hidden)]
 #[macro_export]
 macro_rules! __json_omit {
@@ -791,13 +1092,13 @@ macro_rules! __json_omit {
         false
     };
     ($value:expr, none) => {
-        Option::is_none(&$value)
+        Option::is_none($value)
     };
     ($value:expr, empty) => {
         $value.is_empty()
     };
     ($value:expr, default) => {
-        $value == Default::default()
+        *$value == Default::default()
     };
 }
 
@@ -987,6 +1288,99 @@ mod tests {
         tags: default omit_if empty,
         counters: default omit_if default,
     });
+
+    const MOODS: &[&str] = &["calm", "wild"];
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Event {
+        Tick {
+            time: f64,
+            mood: &'static str,
+        },
+        Stats {
+            time: f64,
+            counters: Counters,
+            wall_secs: f64,
+        },
+    }
+
+    json_enum!(Event, tag = "ev", name = kind {
+        Tick = "tick" { time, mood: one_of(MOODS) },
+        Stats = "stats" { time, counters: flatten, wall_secs: default },
+    });
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Goal {
+        Factor(f64),
+        Window { from: u32, to: u32 },
+    }
+
+    json_enum!(Goal {
+        Factor = "factor" (f64),
+        Window = "window" { from, to },
+    });
+
+    fn read<T: FromJson>(text: &str) -> Result<T> {
+        T::from_json(&Json::parse(text).unwrap())
+    }
+
+    #[test]
+    fn enum_tables_read_and_write_by_their_rules() {
+        let stats = Event::Stats {
+            time: 1.0,
+            counters: Counters { hits: 2, misses: 3 },
+            wall_secs: 0.5,
+        };
+        let text = stats.to_json().compact();
+        assert_eq!(
+            text,
+            r#"{"ev":"stats","time":1.0,"hits":2.0,"misses":3.0,"wall_secs":0.5}"#
+        );
+        assert_eq!(read::<Event>(&text).unwrap(), stats);
+        assert_eq!(stats.kind(), "stats");
+        // A defaulted field may be stripped; a flattened one reads its
+        // own keys from the enclosing object.
+        let stripped = read::<Event>(r#"{"ev":"stats","time":1.0,"hits":2,"misses":3}"#);
+        assert!(matches!(stripped, Ok(Event::Stats { wall_secs, .. }) if wall_secs == 0.0));
+
+        let tick = Event::Tick {
+            time: 2.0,
+            mood: "wild",
+        };
+        assert_eq!(read::<Event>(&tick.to_json().compact()).unwrap(), tick);
+        let err = read::<Event>(r#"{"ev":"tick","time":2.0,"mood":"sad"}"#).unwrap_err();
+        assert_eq!(
+            err.message,
+            r#"tick: field 'mood': unknown name "sad", expected one of calm|wild"#
+        );
+        let err = read::<Event>(r#"{"ev":"tock","time":2.0}"#).unwrap_err();
+        assert_eq!(
+            err.message,
+            r#"field 'ev': unknown name "tock", expected one of tick|stats"#
+        );
+        let err = read::<Event>(r#"{"ev":"stats","time":1.0,"hits":-2,"misses":3}"#).unwrap_err();
+        assert_eq!(
+            err.message,
+            "stats: field 'hits': -2 is out of range for u64"
+        );
+
+        for goal in [Goal::Factor(2.5), Goal::Window { from: 1, to: 4 }] {
+            assert_eq!(read::<Goal>(&goal.to_json().compact()).unwrap(), goal);
+        }
+        assert_eq!(Goal::Factor(2.5).to_json().compact(), r#"{"factor":2.5}"#);
+        let err = read::<Goal>(r#"{"factor":2.5,"window":{"from":1,"to":2}}"#).unwrap_err();
+        assert_eq!(
+            err.message,
+            r#"expected an object with exactly one key of factor|window, got {"factor":2.5,"window":{"from":1.0,"to":2.0}}"#
+        );
+        let err = read::<Goal>(r#"{"window":{"from":1}}"#).unwrap_err();
+        assert_eq!(err.message, "window: missing field 'to'");
+        let err = read::<Goal>(r#"{"span":1}"#).unwrap_err();
+        assert_eq!(
+            err.message,
+            r#"unknown name "span", expected one of factor|window"#
+        );
+    }
 
     #[test]
     fn field_table_reads_and_writes_by_its_rules() {

@@ -16,9 +16,9 @@ macro_rules! json_id {
 
         impl FromJson for $name {
             fn from_json(v: &Json) -> dynaplace_json::Result<Self> {
-                u32::from_json(v).map(Self).map_err(|e| JsonError {
-                    message: format!(concat!($kind, " id {}"), e.message),
-                })
+                u32::from_json(v)
+                    .map(Self)
+                    .map_err(|e| JsonError::new(format!(concat!($kind, " id {}"), e.message)))
             }
         }
     };

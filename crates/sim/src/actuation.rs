@@ -106,6 +106,15 @@ impl OpOutcome {
         matches!(self, OpOutcome::Applied(_))
     }
 
+    /// Stable lowercase name, used by the decision trace.
+    pub fn name(&self) -> &'static str {
+        match self {
+            OpOutcome::Applied(_) => "applied",
+            OpOutcome::Failed(_) => "failed",
+            OpOutcome::TimedOut(_) => "timed_out",
+        }
+    }
+
     /// Wall-clock time the operation occupied the instance.
     pub fn latency(&self) -> SimDuration {
         match *self {

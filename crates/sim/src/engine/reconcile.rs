@@ -320,11 +320,7 @@ impl Simulation {
                     node: op_node,
                     op: op.name(),
                     attempt: u64::from(attempt),
-                    outcome: match outcome {
-                        OpOutcome::Applied(_) => "applied",
-                        OpOutcome::Failed(_) => "failed",
-                        OpOutcome::TimedOut(_) => "timed_out",
-                    },
+                    outcome: outcome.name(),
                     latency_secs: outcome.latency().as_secs(),
                 });
             }

@@ -420,16 +420,14 @@ impl ToJson for PlacementRecord {
 impl FromJson for PlacementRecord {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let Some(Json::Arr(items)) = v.get("instances") else {
-            return Err(JsonError {
-                message: "placement record missing instances".into(),
-            });
+            return Err(JsonError::new("placement record missing instances"));
         };
         let mut placement = Placement::new();
         for item in items {
             let Some([app, node, count]) = item.as_arr() else {
-                return Err(JsonError {
-                    message: "placement instance must be [app, node, count]".into(),
-                });
+                return Err(JsonError::new(
+                    "placement instance must be [app, node, count]",
+                ));
             };
             let (app, node) = (AppId::from_json(app)?, NodeId::from_json(node)?);
             for _ in 0..u32::from_json(count)? {

@@ -25,6 +25,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use dynaplace_json::json_enum;
 use dynaplace_model::ids::{AppId, NodeId};
 use dynaplace_model::units::SimTime;
 
@@ -39,24 +40,10 @@ pub enum DegradedMode {
     FillOnly,
 }
 
-impl DegradedMode {
-    /// Wire name (`hold` / `fill_only`).
-    pub fn name(self) -> &'static str {
-        match self {
-            DegradedMode::Hold => "hold",
-            DegradedMode::FillOnly => "fill_only",
-        }
-    }
-
-    /// Parses a wire name.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "hold" => Some(DegradedMode::Hold),
-            "fill_only" => Some(DegradedMode::FillOnly),
-            _ => None,
-        }
-    }
-}
+json_enum!(DegradedMode {
+    Hold = "hold",
+    FillOnly = "fill_only",
+});
 
 /// Configuration of the observation layer.
 ///

@@ -5,7 +5,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use dynaplace_json::{json_object, obj, FromJson, Json, JsonError, ToJson};
+use dynaplace_json::{json_enum, json_object, FromJson, Json, JsonError, ToJson};
 
 use dynaplace_model::cluster::Cluster;
 use dynaplace_model::ids::{AppId, NodeId};
@@ -1767,9 +1767,8 @@ impl ScenarioSpec {
     /// file fails at load time rather than silently misbehaving mid-run.
     pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
         let spec = Self::from_json(&Json::parse(text)?)?;
-        spec.validate().map_err(|e| JsonError {
-            message: format!("invalid scenario: {e}"),
-        })?;
+        spec.validate()
+            .map_err(|e| JsonError::new(format!("invalid scenario: {e}")))?;
         Ok(spec)
     }
 
@@ -1781,10 +1780,10 @@ impl ScenarioSpec {
 
 // JSON wire format: the one the checked-in scenario files use. Each
 // named-field object is one `json_object!` table (keys, read defaults and
-// omission rules); optional blocks and extras are omitted when unused so
-// older scenarios render byte-identically. Tagged enums (externally
-// tagged, snake_case), the untagged constant-or-steps rate and the
-// node-failure arrays are hand-written below.
+// omission rules) and each tagged enum one `json_enum!` table (a single
+// snake_case key); optional blocks and extras are omitted when unused so
+// older scenarios render byte-identically. Only the untagged
+// constant-or-steps rate and the node-failure arrays are hand-written.
 
 /// Canonicalizes legacy scalars out of a group's `resources` block, in
 /// front of the group's field table. A scalar may sit at the top level
@@ -1941,187 +1940,29 @@ json_object!(ScenarioSpec {
     trace: default,
 });
 
-impl ToJson for ArrivalSpec {
-    fn to_json(&self) -> Json {
-        match self {
-            ArrivalSpec::Exponential { mean_secs } => {
-                obj([("exponential", obj([("mean_secs", mean_secs.to_json())]))])
-            }
-            ArrivalSpec::Periodic { every_secs } => {
-                obj([("periodic", obj([("every_secs", every_secs.to_json())]))])
-            }
-            ArrivalSpec::At(times) => obj([("at", times.to_json())]),
-        }
-    }
-}
+json_enum!(ArrivalSpec {
+    Exponential = "exponential" { mean_secs },
+    Periodic = "periodic" { every_secs },
+    At = "at" (Vec<f64>),
+});
 
-impl FromJson for ArrivalSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some(inner) = v.get("exponential") {
-            Ok(ArrivalSpec::Exponential {
-                mean_secs: inner.field("mean_secs")?,
-            })
-        } else if let Some(inner) = v.get("periodic") {
-            Ok(ArrivalSpec::Periodic {
-                every_secs: inner.field("every_secs")?,
-            })
-        } else if let Some(times) = v.get("at") {
-            Ok(ArrivalSpec::At(Vec::from_json(times)?))
-        } else {
-            Err(JsonError {
-                message: "arrivals must be exponential|periodic|at".to_string(),
-            })
-        }
-    }
-}
+json_enum!(GoalSpec {
+    Factor = "factor" (f64),
+    RelativeSecs = "relative_secs" (f64),
+});
 
-impl ToJson for GoalSpec {
-    fn to_json(&self) -> Json {
-        match self {
-            GoalSpec::Factor(f) => obj([("factor", f.to_json())]),
-            GoalSpec::RelativeSecs(s) => obj([("relative_secs", s.to_json())]),
-        }
-    }
-}
+json_enum!(ProcessSpec {
+    Poisson = "poisson" { rate_per_sec },
+    Mmpp = "mmpp" { states },
+    Diurnal = "diurnal" { base_rate_per_sec, amplitude, period_secs },
+    FlashCrowd = "flash_crowd" { base_rate_per_sec, multiplier, every_secs, duration_secs },
+});
 
-impl FromJson for GoalSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some(f) = v.get("factor") {
-            Ok(GoalSpec::Factor(f64::from_json(f)?))
-        } else if let Some(s) = v.get("relative_secs") {
-            Ok(GoalSpec::RelativeSecs(f64::from_json(s)?))
-        } else {
-            Err(JsonError {
-                message: "goal must be factor|relative_secs".to_string(),
-            })
-        }
-    }
-}
-
-impl ToJson for ProcessSpec {
-    fn to_json(&self) -> Json {
-        match self {
-            ProcessSpec::Poisson { rate_per_sec } => {
-                obj([("poisson", obj([("rate_per_sec", rate_per_sec.to_json())]))])
-            }
-            ProcessSpec::Mmpp { states } => obj([("mmpp", obj([("states", states.to_json())]))]),
-            ProcessSpec::Diurnal {
-                base_rate_per_sec,
-                amplitude,
-                period_secs,
-            } => obj([(
-                "diurnal",
-                obj([
-                    ("base_rate_per_sec", base_rate_per_sec.to_json()),
-                    ("amplitude", amplitude.to_json()),
-                    ("period_secs", period_secs.to_json()),
-                ]),
-            )]),
-            ProcessSpec::FlashCrowd {
-                base_rate_per_sec,
-                multiplier,
-                every_secs,
-                duration_secs,
-            } => obj([(
-                "flash_crowd",
-                obj([
-                    ("base_rate_per_sec", base_rate_per_sec.to_json()),
-                    ("multiplier", multiplier.to_json()),
-                    ("every_secs", every_secs.to_json()),
-                    ("duration_secs", duration_secs.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for ProcessSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some(inner) = v.get("poisson") {
-            Ok(ProcessSpec::Poisson {
-                rate_per_sec: inner.field("rate_per_sec")?,
-            })
-        } else if let Some(inner) = v.get("mmpp") {
-            Ok(ProcessSpec::Mmpp {
-                states: inner.field("states")?,
-            })
-        } else if let Some(inner) = v.get("diurnal") {
-            Ok(ProcessSpec::Diurnal {
-                base_rate_per_sec: inner.field("base_rate_per_sec")?,
-                amplitude: inner.field("amplitude")?,
-                period_secs: inner.field("period_secs")?,
-            })
-        } else if let Some(inner) = v.get("flash_crowd") {
-            Ok(ProcessSpec::FlashCrowd {
-                base_rate_per_sec: inner.field("base_rate_per_sec")?,
-                multiplier: inner.field("multiplier")?,
-                every_secs: inner.field("every_secs")?,
-                duration_secs: inner.field("duration_secs")?,
-            })
-        } else {
-            Err(JsonError {
-                message: "process must be poisson|mmpp|diurnal|flash_crowd".to_string(),
-            })
-        }
-    }
-}
-
-impl ToJson for TxnCurveSpec {
-    fn to_json(&self) -> Json {
-        match self {
-            TxnCurveSpec::Constant { rate_per_sec } => {
-                obj([("constant", obj([("rate_per_sec", rate_per_sec.to_json())]))])
-            }
-            TxnCurveSpec::Diurnal {
-                base_rate_per_sec,
-                amplitude_per_sec,
-                period_secs,
-            } => obj([(
-                "diurnal",
-                obj([
-                    ("base_rate_per_sec", base_rate_per_sec.to_json()),
-                    ("amplitude_per_sec", amplitude_per_sec.to_json()),
-                    ("period_secs", period_secs.to_json()),
-                ]),
-            )]),
-            TxnCurveSpec::Population {
-                users,
-                think_time_secs,
-            } => obj([(
-                "population",
-                obj([
-                    ("users", users.to_json()),
-                    ("think_time_secs", think_time_secs.to_json()),
-                ]),
-            )]),
-        }
-    }
-}
-
-impl FromJson for TxnCurveSpec {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        if let Some(inner) = v.get("constant") {
-            Ok(TxnCurveSpec::Constant {
-                rate_per_sec: inner.field("rate_per_sec")?,
-            })
-        } else if let Some(inner) = v.get("diurnal") {
-            Ok(TxnCurveSpec::Diurnal {
-                base_rate_per_sec: inner.field("base_rate_per_sec")?,
-                amplitude_per_sec: inner.field("amplitude_per_sec")?,
-                period_secs: inner.field("period_secs")?,
-            })
-        } else if let Some(inner) = v.get("population") {
-            Ok(TxnCurveSpec::Population {
-                users: inner.field("users")?,
-                think_time_secs: inner.field("think_time_secs")?,
-            })
-        } else {
-            Err(JsonError {
-                message: "curve must be constant|diurnal|population".to_string(),
-            })
-        }
-    }
-}
+json_enum!(TxnCurveSpec {
+    Constant = "constant" { rate_per_sec },
+    Diurnal = "diurnal" { base_rate_per_sec, amplitude_per_sec, period_secs },
+    Population = "population" { users, think_time_secs },
+});
 
 impl ToJson for NodeFailureSpec {
     fn to_json(&self) -> Json {
@@ -2136,19 +1977,15 @@ impl ToJson for NodeFailureSpec {
 impl FromJson for NodeFailureSpec {
     fn from_json(v: &Json) -> Result<Self, JsonError> {
         let Json::Arr(parts) = v else {
-            return Err(JsonError {
-                message: "node failure must be [offset_secs, node] or \
-                          [offset_secs, node, duration_secs]"
-                    .to_string(),
-            });
+            return Err(JsonError::new(
+                "node failure must be [offset_secs, node] or [offset_secs, node, duration_secs]",
+            ));
         };
         if parts.len() != 2 && parts.len() != 3 {
-            return Err(JsonError {
-                message: format!(
-                    "node failure must have 2 or 3 elements, got {}",
-                    parts.len()
-                ),
-            });
+            return Err(JsonError::new(format!(
+                "node failure must have 2 or 3 elements, got {}",
+                parts.len()
+            )));
         }
         Ok(NodeFailureSpec {
             at_secs: f64::from_json(&parts[0])?,
@@ -2172,9 +2009,9 @@ impl FromJson for RateSpec {
         match v {
             Json::Num(rate) => Ok(RateSpec::Constant(*rate)),
             Json::Arr(_) => Ok(RateSpec::Steps(Vec::from_json(v)?)),
-            _ => Err(JsonError {
-                message: "rate must be a number or a list of (secs, rate) steps".to_string(),
-            }),
+            _ => Err(JsonError::new(
+                "rate must be a number or a list of (secs, rate) steps",
+            )),
         }
     }
 }
@@ -2427,6 +2264,49 @@ mod tests {
         let parsed = Vec::<NodeFailureSpec>::from_json(&legacy).unwrap();
         assert_eq!(parsed[0].at_secs, 45.5);
         assert_eq!(parsed[0].duration_secs, None);
+    }
+
+    /// Decodes `text` as a `T`, which must fail with an error
+    /// containing `needle`.
+    fn rejects<T: FromJson + std::fmt::Debug>(text: &str, needle: &str) {
+        let err = T::from_json(&Json::parse(text).unwrap()).unwrap_err();
+        assert!(err.message.contains(needle), "{text}: {}", err.message);
+    }
+
+    #[test]
+    fn tagged_object_with_several_keys_is_rejected() {
+        // Used to decode as `Factor(2.0)`: the probe order picked a key.
+        rejects::<GoalSpec>(
+            r#"{"factor": 2.0, "relative_secs": 600.0}"#,
+            r#"exactly one key of factor|relative_secs, got {"factor":2.0,"relative_secs":600.0}"#,
+        );
+        // Used to decode as `Poisson`, whatever the document's order.
+        rejects::<ProcessSpec>(
+            r#"{"diurnal": {"base_rate_per_sec": 1.0, "amplitude": 0.5, "period_secs": 60.0},
+                "poisson": {"rate_per_sec": 1.0}}"#,
+            "exactly one key of poisson|mmpp|diurnal|flash_crowd, got {\"diurnal\":{",
+        );
+    }
+
+    #[test]
+    fn tagged_object_with_no_key_or_an_unknown_key_is_rejected() {
+        rejects::<ArrivalSpec>(
+            "{}",
+            "expected an object with exactly one key of exponential|periodic|at, got {}",
+        );
+        rejects::<TxnCurveSpec>(
+            "[]",
+            "exactly one key of constant|diurnal|population, got []",
+        );
+        rejects::<ProcessSpec>(
+            r#"{"weibull": {"shape": 2.0}}"#,
+            "unknown name \"weibull\", expected one of poisson|mmpp|diurnal|flash_crowd",
+        );
+        // A field error names the variant and the field.
+        rejects::<ArrivalSpec>(
+            r#"{"periodic": {"every": 15.0}}"#,
+            "periodic: missing field 'every_secs'",
+        );
     }
 
     #[test]

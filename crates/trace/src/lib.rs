@@ -38,7 +38,7 @@ use std::io::Write as _;
 use std::path::Path;
 use std::sync::Mutex;
 
-use dynaplace_json::{obj, Json, JsonError};
+use dynaplace_json::{json_enum, json_object, Json, ToJson};
 use dynaplace_model::{AppId, NodeId};
 
 /// How much detail a sink records.
@@ -70,24 +70,10 @@ impl PartialOrd for TraceLevel {
     }
 }
 
-impl TraceLevel {
-    /// Parses the scenario wire name (`"decisions"` / `"verbose"`).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "decisions" => Some(TraceLevel::Decisions),
-            "verbose" => Some(TraceLevel::Verbose),
-            _ => None,
-        }
-    }
-
-    /// The scenario wire name of this level.
-    pub fn name(self) -> &'static str {
-        match self {
-            TraceLevel::Decisions => "decisions",
-            TraceLevel::Verbose => "verbose",
-        }
-    }
-}
+json_enum!(TraceLevel {
+    Decisions = "decisions",
+    Verbose = "verbose",
+});
 
 impl fmt::Display for TraceLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -127,28 +113,12 @@ pub enum Phase {
     Sample,
 }
 
-impl Phase {
-    /// Stable wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Optimize => "optimize",
-            Phase::Actuate => "actuate",
-            Phase::Reconcile => "reconcile",
-            Phase::Sample => "sample",
-        }
-    }
-
-    /// Parses the wire name back into a phase.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "optimize" => Some(Phase::Optimize),
-            "actuate" => Some(Phase::Actuate),
-            "reconcile" => Some(Phase::Reconcile),
-            "sample" => Some(Phase::Sample),
-            _ => None,
-        }
-    }
-}
+json_enum!(Phase {
+    Optimize = "optimize",
+    Actuate = "actuate",
+    Reconcile = "reconcile",
+    Sample = "sample",
+});
 
 /// Which optimizer entry point produced a pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,24 +129,10 @@ pub enum OptimizeMode {
     FillOnly,
 }
 
-impl OptimizeMode {
-    /// Stable wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            OptimizeMode::Place => "place",
-            OptimizeMode::FillOnly => "fill_only",
-        }
-    }
-
-    /// Parses the wire name back into a mode.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "place" => Some(OptimizeMode::Place),
-            "fill_only" => Some(OptimizeMode::FillOnly),
-            _ => None,
-        }
-    }
-}
+json_enum!(OptimizeMode {
+    Place = "place",
+    FillOnly = "fill_only",
+});
 
 /// Why the cell-sharded placement layer pulled an application out of the
 /// per-cell subproblems into the global residual pass.
@@ -190,26 +146,11 @@ pub enum EscalationReason {
     Oversized,
 }
 
-impl EscalationReason {
-    /// Stable wire name.
-    pub fn name(self) -> &'static str {
-        match self {
-            EscalationReason::CrossCellPin => "cross_cell_pin",
-            EscalationReason::MultiCellPlacement => "multi_cell_placement",
-            EscalationReason::Oversized => "oversized",
-        }
-    }
-
-    /// Parses the wire name back into a reason.
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "cross_cell_pin" => Some(EscalationReason::CrossCellPin),
-            "multi_cell_placement" => Some(EscalationReason::MultiCellPlacement),
-            "oversized" => Some(EscalationReason::Oversized),
-            _ => None,
-        }
-    }
-}
+json_enum!(EscalationReason {
+    CrossCellPin = "cross_cell_pin",
+    MultiCellPlacement = "multi_cell_placement",
+    Oversized = "oversized",
+});
 
 /// Cache hit/miss counters for one optimizer pass, mirroring the four
 /// memo layers of the score cache.
@@ -232,6 +173,17 @@ pub struct CacheCounters {
     /// Per-job hypothetical column memo misses.
     pub column_misses: u64,
 }
+
+json_object!(CacheCounters {
+    score_hits,
+    score_misses,
+    demand_hits,
+    demand_misses,
+    batch_hits,
+    batch_misses,
+    column_hits,
+    column_misses,
+});
 
 /// One recorded decision. Every variant carries the sim time (`time`,
 /// seconds since the simulation origin) it was made at; engine-side
@@ -395,8 +347,9 @@ pub enum TraceEvent {
         /// drawn from the cost model, not measured).
         latency_secs: f64,
     },
-    /// An operation was deferred by backoff, quarantine, or a rollback
-    /// feasibility check, leaving desired ≠ actual for now.
+    /// An operation was deferred by backoff (a retry delay or a
+    /// quarantine) or a rollback feasibility check, leaving desired ≠
+    /// actual for now.
     OpDeferred {
         /// Sim time of the deferral.
         time: f64,
@@ -406,7 +359,7 @@ pub enum TraceEvent {
         app: AppId,
         /// Node the deferred operation targets.
         node: NodeId,
-        /// Why it was deferred (`backoff` / `quarantine` / `rollback`).
+        /// Why it was deferred (`backoff` / `rollback`).
         reason: &'static str,
     },
     /// An (app, node) pair crossed the failure threshold and was
@@ -602,6 +555,50 @@ pub enum TraceEvent {
     },
 }
 
+/// The engine's words for the `&'static str` fields of [`TraceEvent`].
+/// Decoding interns a word back to the table's own literal, so an
+/// unknown word is an error.
+const OPS: &[&str] = &["boot", "suspend", "resume", "migrate"];
+const OUTCOMES: &[&str] = &["applied", "failed", "timed_out"];
+const DEFERRALS: &[&str] = &["backoff", "rollback"];
+const DEGRADED_MODES: &[&str] = &["hold", "fill_only"];
+
+// The JSONL wire form: `ev` first, then the fields in table order, the
+// nondeterministic `wall_secs` (phase spans only) last. A stripped line
+// still decodes: a missing `wall_secs` reads as zero.
+json_enum!(TraceEvent, tag = "ev", name = kind {
+    CycleStart = "cycle_start" { time, cycle },
+    PhaseSpan = "phase_span" { time, cycle, phase, wall_secs: default },
+    OptimizeStart = "optimize_start" { time, mode, apps, nodes },
+    OptimizeEnd = "optimize_end" { time, evaluations, sweeps, adoptions, timed_out },
+    NodeEnter = "node_enter" { time, sweep, node, residents },
+    NodeExit = "node_exit" { time, sweep, node, candidates, adopted },
+    CandidateAccepted = "candidate_accepted" { time, sweep, node, delta, disruptions, threshold },
+    CandidateRejected = "candidate_rejected" { time, sweep, node, delta, disruptions, threshold },
+    TxnExpanded = "txn_expanded" { time, app, node, delta },
+    CachePassStats = "cache_pass_stats" { time, counters: flatten },
+    DeadlineTruncated = "deadline_truncated" { time, sweep, evaluations },
+    OpResolved = "op_resolved" {
+        time, cycle, app, node, op: one_of(OPS), attempt, outcome: one_of(OUTCOMES), latency_secs,
+    },
+    OpDeferred = "op_deferred" { time, cycle, app, node, reason: one_of(DEFERRALS) },
+    Quarantined = "quarantined" { time, cycle, app, node },
+    ReconcileDiff = "reconcile_diff" { time, cycle, pending },
+    CellEnter = "cell_enter" { time, cell, nodes, apps },
+    CellExit = "cell_exit" { time, cell, evaluations, adoptions, timed_out },
+    CellEscalated = "cell_escalated" { time, app, reason },
+    RebalanceMove = "rebalance_move" { time, app, from_cell, to_cell, delta, adopted },
+    RigidUtilization = "rigid_utilization" { time, cycle, dim, used, capacity },
+    StarvationBreak = "starvation_break" { time, cycles, apps },
+    HeartbeatMissed = "heartbeat_missed" { time, cycle, node, consecutive },
+    NodeSuspected = "node_suspected" { time, cycle, node, misses },
+    NodeDeclaredDead = "node_declared_dead" { time, cycle, node, misses },
+    NodeReinstated = "node_reinstated" { time, cycle, node },
+    StaleHold = "stale_hold" { time, cycle, age_cycles, budget, mode: one_of(DEGRADED_MODES) },
+    PolicyInvoked = "policy_invoked" { time, cycle, policy, class },
+    DemandEstimate = "demand_estimate" { time, cycle, app, observed, estimate },
+});
+
 impl TraceEvent {
     /// The minimum sink level at which this event is recorded.
     pub fn level(&self) -> TraceLevel {
@@ -614,657 +611,6 @@ impl TraceEvent {
             | TraceEvent::DemandEstimate { .. } => TraceLevel::Verbose,
             _ => TraceLevel::Decisions,
         }
-    }
-
-    /// Stable event-kind tag (the `"ev"` field of the JSON form).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::CycleStart { .. } => "cycle_start",
-            TraceEvent::PhaseSpan { .. } => "phase_span",
-            TraceEvent::OptimizeStart { .. } => "optimize_start",
-            TraceEvent::OptimizeEnd { .. } => "optimize_end",
-            TraceEvent::NodeEnter { .. } => "node_enter",
-            TraceEvent::NodeExit { .. } => "node_exit",
-            TraceEvent::CandidateAccepted { .. } => "candidate_accepted",
-            TraceEvent::CandidateRejected { .. } => "candidate_rejected",
-            TraceEvent::TxnExpanded { .. } => "txn_expanded",
-            TraceEvent::CachePassStats { .. } => "cache_pass_stats",
-            TraceEvent::DeadlineTruncated { .. } => "deadline_truncated",
-            TraceEvent::OpResolved { .. } => "op_resolved",
-            TraceEvent::OpDeferred { .. } => "op_deferred",
-            TraceEvent::Quarantined { .. } => "quarantined",
-            TraceEvent::ReconcileDiff { .. } => "reconcile_diff",
-            TraceEvent::CellEnter { .. } => "cell_enter",
-            TraceEvent::CellExit { .. } => "cell_exit",
-            TraceEvent::CellEscalated { .. } => "cell_escalated",
-            TraceEvent::RebalanceMove { .. } => "rebalance_move",
-            TraceEvent::RigidUtilization { .. } => "rigid_utilization",
-            TraceEvent::StarvationBreak { .. } => "starvation_break",
-            TraceEvent::HeartbeatMissed { .. } => "heartbeat_missed",
-            TraceEvent::NodeSuspected { .. } => "node_suspected",
-            TraceEvent::NodeDeclaredDead { .. } => "node_declared_dead",
-            TraceEvent::NodeReinstated { .. } => "node_reinstated",
-            TraceEvent::StaleHold { .. } => "stale_hold",
-            TraceEvent::PolicyInvoked { .. } => "policy_invoked",
-            TraceEvent::DemandEstimate { .. } => "demand_estimate",
-        }
-    }
-
-    /// The JSON object for one JSONL line. Field order is fixed: `ev`
-    /// first, deterministic fields next, and the nondeterministic
-    /// `wall_secs` (phase spans only) last.
-    pub fn to_json(&self) -> Json {
-        let ev = Json::Str(self.kind().to_string());
-        match *self {
-            TraceEvent::CycleStart { time, cycle } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-            ]),
-            TraceEvent::PhaseSpan {
-                time,
-                cycle,
-                phase,
-                wall_secs,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("phase", Json::Str(phase.name().to_string())),
-                ("wall_secs", Json::Num(wall_secs)),
-            ]),
-            TraceEvent::OptimizeStart {
-                time,
-                mode,
-                apps,
-                nodes,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("mode", Json::Str(mode.name().to_string())),
-                ("apps", Json::Num(apps as f64)),
-                ("nodes", Json::Num(nodes as f64)),
-            ]),
-            TraceEvent::OptimizeEnd {
-                time,
-                evaluations,
-                sweeps,
-                adoptions,
-                timed_out,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("evaluations", Json::Num(evaluations as f64)),
-                ("sweeps", Json::Num(sweeps as f64)),
-                ("adoptions", Json::Num(adoptions as f64)),
-                ("timed_out", Json::Bool(timed_out)),
-            ]),
-            TraceEvent::NodeEnter {
-                time,
-                sweep,
-                node,
-                residents,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("sweep", Json::Num(sweep as f64)),
-                ("node", Json::Num(node.index() as f64)),
-                ("residents", Json::Num(residents as f64)),
-            ]),
-            TraceEvent::NodeExit {
-                time,
-                sweep,
-                node,
-                candidates,
-                adopted,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("sweep", Json::Num(sweep as f64)),
-                ("node", Json::Num(node.index() as f64)),
-                ("candidates", Json::Num(candidates as f64)),
-                ("adopted", Json::Bool(adopted)),
-            ]),
-            TraceEvent::CandidateAccepted {
-                time,
-                sweep,
-                node,
-                delta,
-                disruptions,
-                threshold,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("sweep", Json::Num(sweep as f64)),
-                ("node", Json::Num(node.index() as f64)),
-                ("delta", Json::Num(delta)),
-                ("disruptions", Json::Num(disruptions as f64)),
-                ("threshold", Json::Num(threshold)),
-            ]),
-            TraceEvent::CandidateRejected {
-                time,
-                sweep,
-                node,
-                delta,
-                disruptions,
-                threshold,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("sweep", Json::Num(sweep as f64)),
-                ("node", Json::Num(node.index() as f64)),
-                ("delta", Json::Num(delta)),
-                ("disruptions", Json::Num(disruptions as f64)),
-                ("threshold", Json::Num(threshold)),
-            ]),
-            TraceEvent::TxnExpanded {
-                time,
-                app,
-                node,
-                delta,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("app", Json::Num(app.index() as f64)),
-                ("node", Json::Num(node.index() as f64)),
-                ("delta", Json::Num(delta)),
-            ]),
-            TraceEvent::CachePassStats { time, counters } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("score_hits", Json::Num(counters.score_hits as f64)),
-                ("score_misses", Json::Num(counters.score_misses as f64)),
-                ("demand_hits", Json::Num(counters.demand_hits as f64)),
-                ("demand_misses", Json::Num(counters.demand_misses as f64)),
-                ("batch_hits", Json::Num(counters.batch_hits as f64)),
-                ("batch_misses", Json::Num(counters.batch_misses as f64)),
-                ("column_hits", Json::Num(counters.column_hits as f64)),
-                ("column_misses", Json::Num(counters.column_misses as f64)),
-            ]),
-            TraceEvent::DeadlineTruncated {
-                time,
-                sweep,
-                evaluations,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("sweep", Json::Num(sweep as f64)),
-                ("evaluations", Json::Num(evaluations as f64)),
-            ]),
-            TraceEvent::OpResolved {
-                time,
-                cycle,
-                app,
-                node,
-                op,
-                attempt,
-                outcome,
-                latency_secs,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("app", Json::Num(app.index() as f64)),
-                ("node", Json::Num(node.index() as f64)),
-                ("op", Json::Str(op.to_string())),
-                ("attempt", Json::Num(attempt as f64)),
-                ("outcome", Json::Str(outcome.to_string())),
-                ("latency_secs", Json::Num(latency_secs)),
-            ]),
-            TraceEvent::OpDeferred {
-                time,
-                cycle,
-                app,
-                node,
-                reason,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("app", Json::Num(app.index() as f64)),
-                ("node", Json::Num(node.index() as f64)),
-                ("reason", Json::Str(reason.to_string())),
-            ]),
-            TraceEvent::Quarantined {
-                time,
-                cycle,
-                app,
-                node,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("app", Json::Num(app.index() as f64)),
-                ("node", Json::Num(node.index() as f64)),
-            ]),
-            TraceEvent::ReconcileDiff {
-                time,
-                cycle,
-                pending,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("pending", Json::Num(pending as f64)),
-            ]),
-            TraceEvent::CellEnter {
-                time,
-                cell,
-                nodes,
-                apps,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cell", Json::Num(cell as f64)),
-                ("nodes", Json::Num(nodes as f64)),
-                ("apps", Json::Num(apps as f64)),
-            ]),
-            TraceEvent::CellExit {
-                time,
-                cell,
-                evaluations,
-                adoptions,
-                timed_out,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cell", Json::Num(cell as f64)),
-                ("evaluations", Json::Num(evaluations as f64)),
-                ("adoptions", Json::Num(adoptions as f64)),
-                ("timed_out", Json::Bool(timed_out)),
-            ]),
-            TraceEvent::CellEscalated { time, app, reason } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("app", Json::Num(app.index() as f64)),
-                ("reason", Json::Str(reason.name().to_string())),
-            ]),
-            TraceEvent::RebalanceMove {
-                time,
-                app,
-                from_cell,
-                to_cell,
-                delta,
-                adopted,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("app", Json::Num(app.index() as f64)),
-                ("from_cell", Json::Num(from_cell as f64)),
-                ("to_cell", Json::Num(to_cell as f64)),
-                ("delta", Json::Num(delta)),
-                ("adopted", Json::Bool(adopted)),
-            ]),
-            TraceEvent::RigidUtilization {
-                time,
-                cycle,
-                ref dim,
-                used,
-                capacity,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("dim", Json::Str(dim.clone())),
-                ("used", Json::Num(used)),
-                ("capacity", Json::Num(capacity)),
-            ]),
-            TraceEvent::StarvationBreak {
-                time,
-                cycles,
-                ref apps,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycles", Json::Num(cycles as f64)),
-                (
-                    "apps",
-                    Json::Arr(apps.iter().map(|a| Json::Num(a.index() as f64)).collect()),
-                ),
-            ]),
-            TraceEvent::HeartbeatMissed {
-                time,
-                cycle,
-                node,
-                consecutive,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("node", Json::Num(node.index() as f64)),
-                ("consecutive", Json::Num(consecutive as f64)),
-            ]),
-            TraceEvent::NodeSuspected {
-                time,
-                cycle,
-                node,
-                misses,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("node", Json::Num(node.index() as f64)),
-                ("misses", Json::Num(misses as f64)),
-            ]),
-            TraceEvent::NodeDeclaredDead {
-                time,
-                cycle,
-                node,
-                misses,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("node", Json::Num(node.index() as f64)),
-                ("misses", Json::Num(misses as f64)),
-            ]),
-            TraceEvent::NodeReinstated { time, cycle, node } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("node", Json::Num(node.index() as f64)),
-            ]),
-            TraceEvent::StaleHold {
-                time,
-                cycle,
-                age_cycles,
-                budget,
-                mode,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("age_cycles", Json::Num(age_cycles as f64)),
-                ("budget", Json::Num(budget as f64)),
-                ("mode", Json::Str(mode.to_string())),
-            ]),
-            TraceEvent::PolicyInvoked {
-                time,
-                cycle,
-                ref policy,
-                ref class,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("policy", Json::Str(policy.clone())),
-                ("class", Json::Str(class.clone())),
-            ]),
-            TraceEvent::DemandEstimate {
-                time,
-                cycle,
-                app,
-                observed,
-                estimate,
-            } => obj([
-                ("ev", ev),
-                ("time", Json::Num(time)),
-                ("cycle", Json::Num(cycle as f64)),
-                ("app", Json::Num(app.index() as f64)),
-                ("observed", Json::Num(observed)),
-                ("estimate", Json::Num(estimate)),
-            ]),
-        }
-    }
-
-    /// Parses one JSONL line's object back into an event — the inverse
-    /// of [`TraceEvent::to_json`], used by the `trace_dump` renderer.
-    /// Lines with the nondeterministic fields stripped still parse (a
-    /// missing `wall_secs` decodes as zero).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] naming the missing or malformed field.
-    pub fn from_json(v: &Json) -> Result<TraceEvent, JsonError> {
-        fn missing(what: &str) -> JsonError {
-            JsonError {
-                message: format!("trace event missing or malformed {what}"),
-            }
-        }
-        fn num(v: &Json, k: &str) -> Result<f64, JsonError> {
-            v.get(k).and_then(Json::as_f64).ok_or_else(|| missing(k))
-        }
-        fn uint(v: &Json, k: &str) -> Result<u64, JsonError> {
-            let n = num(v, k)?;
-            if n < 0.0 || n.fract() != 0.0 {
-                return Err(missing(k));
-            }
-            Ok(n as u64)
-        }
-        fn count(v: &Json, k: &str) -> Result<usize, JsonError> {
-            Ok(uint(v, k)? as usize)
-        }
-        fn flag(v: &Json, k: &str) -> Result<bool, JsonError> {
-            v.get(k).and_then(Json::as_bool).ok_or_else(|| missing(k))
-        }
-        fn text<'a>(v: &'a Json, k: &str) -> Result<&'a str, JsonError> {
-            v.get(k).and_then(Json::as_str).ok_or_else(|| missing(k))
-        }
-        fn id(v: &Json, k: &str) -> Result<u32, JsonError> {
-            u32::try_from(uint(v, k)?).map_err(|_| missing(k))
-        }
-        /// Resolves a decoded string against the fixed vocabulary the
-        /// encoder uses, restoring the `&'static str` the event carries.
-        fn intern(v: &Json, k: &str, table: &[&'static str]) -> Result<&'static str, JsonError> {
-            let s = text(v, k)?;
-            table
-                .iter()
-                .copied()
-                .find(|t| *t == s)
-                .ok_or_else(|| JsonError {
-                    message: format!("unknown trace {k} {s:?}"),
-                })
-        }
-
-        let kind = text(v, "ev")?;
-        let time = num(v, "time")?;
-        Ok(match kind {
-            "cycle_start" => TraceEvent::CycleStart {
-                time,
-                cycle: uint(v, "cycle")?,
-            },
-            "phase_span" => TraceEvent::PhaseSpan {
-                time,
-                cycle: uint(v, "cycle")?,
-                phase: Phase::from_name(text(v, "phase")?).ok_or_else(|| missing("phase"))?,
-                wall_secs: v.get("wall_secs").and_then(Json::as_f64).unwrap_or(0.0),
-            },
-            "optimize_start" => TraceEvent::OptimizeStart {
-                time,
-                mode: OptimizeMode::from_name(text(v, "mode")?).ok_or_else(|| missing("mode"))?,
-                apps: count(v, "apps")?,
-                nodes: count(v, "nodes")?,
-            },
-            "optimize_end" => TraceEvent::OptimizeEnd {
-                time,
-                evaluations: uint(v, "evaluations")?,
-                sweeps: uint(v, "sweeps")?,
-                adoptions: uint(v, "adoptions")?,
-                timed_out: flag(v, "timed_out")?,
-            },
-            "node_enter" => TraceEvent::NodeEnter {
-                time,
-                sweep: uint(v, "sweep")?,
-                node: NodeId::new(id(v, "node")?),
-                residents: count(v, "residents")?,
-            },
-            "node_exit" => TraceEvent::NodeExit {
-                time,
-                sweep: uint(v, "sweep")?,
-                node: NodeId::new(id(v, "node")?),
-                candidates: count(v, "candidates")?,
-                adopted: flag(v, "adopted")?,
-            },
-            "candidate_accepted" => TraceEvent::CandidateAccepted {
-                time,
-                sweep: uint(v, "sweep")?,
-                node: NodeId::new(id(v, "node")?),
-                delta: num(v, "delta")?,
-                disruptions: count(v, "disruptions")?,
-                threshold: num(v, "threshold")?,
-            },
-            "candidate_rejected" => TraceEvent::CandidateRejected {
-                time,
-                sweep: uint(v, "sweep")?,
-                node: NodeId::new(id(v, "node")?),
-                delta: num(v, "delta")?,
-                disruptions: count(v, "disruptions")?,
-                threshold: num(v, "threshold")?,
-            },
-            "txn_expanded" => TraceEvent::TxnExpanded {
-                time,
-                app: AppId::new(id(v, "app")?),
-                node: NodeId::new(id(v, "node")?),
-                delta: num(v, "delta")?,
-            },
-            "cache_pass_stats" => TraceEvent::CachePassStats {
-                time,
-                counters: CacheCounters {
-                    score_hits: uint(v, "score_hits")?,
-                    score_misses: uint(v, "score_misses")?,
-                    demand_hits: uint(v, "demand_hits")?,
-                    demand_misses: uint(v, "demand_misses")?,
-                    batch_hits: uint(v, "batch_hits")?,
-                    batch_misses: uint(v, "batch_misses")?,
-                    column_hits: uint(v, "column_hits")?,
-                    column_misses: uint(v, "column_misses")?,
-                },
-            },
-            "deadline_truncated" => TraceEvent::DeadlineTruncated {
-                time,
-                sweep: uint(v, "sweep")?,
-                evaluations: uint(v, "evaluations")?,
-            },
-            "op_resolved" => TraceEvent::OpResolved {
-                time,
-                cycle: uint(v, "cycle")?,
-                app: AppId::new(id(v, "app")?),
-                node: NodeId::new(id(v, "node")?),
-                op: intern(v, "op", &["boot", "suspend", "resume", "migrate"])?,
-                attempt: uint(v, "attempt")?,
-                outcome: intern(v, "outcome", &["applied", "failed", "timed_out"])?,
-                latency_secs: num(v, "latency_secs")?,
-            },
-            "op_deferred" => TraceEvent::OpDeferred {
-                time,
-                cycle: uint(v, "cycle")?,
-                app: AppId::new(id(v, "app")?),
-                node: NodeId::new(id(v, "node")?),
-                reason: intern(v, "reason", &["backoff", "quarantine", "rollback"])?,
-            },
-            "quarantined" => TraceEvent::Quarantined {
-                time,
-                cycle: uint(v, "cycle")?,
-                app: AppId::new(id(v, "app")?),
-                node: NodeId::new(id(v, "node")?),
-            },
-            "reconcile_diff" => TraceEvent::ReconcileDiff {
-                time,
-                cycle: uint(v, "cycle")?,
-                pending: count(v, "pending")?,
-            },
-            "cell_enter" => TraceEvent::CellEnter {
-                time,
-                cell: uint(v, "cell")?,
-                nodes: count(v, "nodes")?,
-                apps: count(v, "apps")?,
-            },
-            "cell_exit" => TraceEvent::CellExit {
-                time,
-                cell: uint(v, "cell")?,
-                evaluations: uint(v, "evaluations")?,
-                adoptions: uint(v, "adoptions")?,
-                timed_out: flag(v, "timed_out")?,
-            },
-            "cell_escalated" => TraceEvent::CellEscalated {
-                time,
-                app: AppId::new(id(v, "app")?),
-                reason: EscalationReason::from_name(text(v, "reason")?)
-                    .ok_or_else(|| missing("reason"))?,
-            },
-            "rebalance_move" => TraceEvent::RebalanceMove {
-                time,
-                app: AppId::new(id(v, "app")?),
-                from_cell: uint(v, "from_cell")?,
-                to_cell: uint(v, "to_cell")?,
-                delta: num(v, "delta")?,
-                adopted: flag(v, "adopted")?,
-            },
-            "rigid_utilization" => TraceEvent::RigidUtilization {
-                time,
-                cycle: uint(v, "cycle")?,
-                dim: text(v, "dim")?.to_string(),
-                used: num(v, "used")?,
-                capacity: num(v, "capacity")?,
-            },
-            "starvation_break" => TraceEvent::StarvationBreak {
-                time,
-                cycles: uint(v, "cycles")?,
-                apps: match v.get("apps") {
-                    Some(Json::Arr(items)) => items
-                        .iter()
-                        .map(|item| {
-                            let n = item.as_f64().ok_or_else(|| missing("apps"))?;
-                            if n < 0.0 || n.fract() != 0.0 {
-                                return Err(missing("apps"));
-                            }
-                            u32::try_from(n as u64)
-                                .map(AppId::new)
-                                .map_err(|_| missing("apps"))
-                        })
-                        .collect::<Result<_, _>>()?,
-                    _ => return Err(missing("apps")),
-                },
-            },
-            "heartbeat_missed" => TraceEvent::HeartbeatMissed {
-                time,
-                cycle: uint(v, "cycle")?,
-                node: NodeId::new(id(v, "node")?),
-                consecutive: uint(v, "consecutive")?,
-            },
-            "node_suspected" => TraceEvent::NodeSuspected {
-                time,
-                cycle: uint(v, "cycle")?,
-                node: NodeId::new(id(v, "node")?),
-                misses: uint(v, "misses")?,
-            },
-            "node_declared_dead" => TraceEvent::NodeDeclaredDead {
-                time,
-                cycle: uint(v, "cycle")?,
-                node: NodeId::new(id(v, "node")?),
-                misses: uint(v, "misses")?,
-            },
-            "node_reinstated" => TraceEvent::NodeReinstated {
-                time,
-                cycle: uint(v, "cycle")?,
-                node: NodeId::new(id(v, "node")?),
-            },
-            "stale_hold" => TraceEvent::StaleHold {
-                time,
-                cycle: uint(v, "cycle")?,
-                age_cycles: uint(v, "age_cycles")?,
-                budget: uint(v, "budget")?,
-                mode: intern(v, "mode", &["hold", "fill_only"])?,
-            },
-            "policy_invoked" => TraceEvent::PolicyInvoked {
-                time,
-                cycle: uint(v, "cycle")?,
-                policy: text(v, "policy")?.to_string(),
-                class: text(v, "class")?.to_string(),
-            },
-            "demand_estimate" => TraceEvent::DemandEstimate {
-                time,
-                cycle: uint(v, "cycle")?,
-                app: AppId::new(id(v, "app")?),
-                observed: num(v, "observed")?,
-                estimate: num(v, "estimate")?,
-            },
-            other => {
-                return Err(JsonError {
-                    message: format!("unknown trace event kind {other:?}"),
-                })
-            }
-        })
     }
 
     /// One-line human narrative of the event, used by the `trace_dump`
@@ -1679,6 +1025,8 @@ pub fn strip_nondeterministic(line: &str) -> String {
 
 #[cfg(test)]
 mod tests {
+    use dynaplace_json::FromJson;
+
     use super::*;
 
     fn span() -> TraceEvent {
@@ -1887,7 +1235,7 @@ mod tests {
                 cycle: 1,
                 app: AppId::new(4),
                 node: NodeId::new(0),
-                reason: "quarantine",
+                reason: "rollback",
             },
             TraceEvent::Quarantined {
                 time: 310.0,
@@ -2003,6 +1351,87 @@ mod tests {
         )
         .unwrap();
         assert!(TraceEvent::from_json(&bad).is_err());
+    }
+
+    /// Decodes `line`, which must fail with an error naming each needle.
+    fn rejects(line: &str, needles: &[&str]) {
+        let err = TraceEvent::from_json(&Json::parse(line).unwrap()).unwrap_err();
+        for needle in needles {
+            assert!(err.message.contains(needle), "{line}: {}", err.message);
+        }
+    }
+
+    #[test]
+    fn fractional_integer_is_rejected_naming_the_field() {
+        rejects(
+            r#"{"ev":"cycle_start","time":0.0,"cycle":1.5}"#,
+            &["cycle_start: field 'cycle'", "expected an integer, got 1.5"],
+        );
+    }
+
+    #[test]
+    fn negative_integer_is_rejected_naming_the_field() {
+        rejects(
+            r#"{"ev":"reconcile_diff","time":0.0,"cycle":1,"pending":-1}"#,
+            &["field 'pending'", "-1 is out of range for usize"],
+        );
+    }
+
+    #[test]
+    fn integer_beyond_u64_is_rejected_naming_the_field() {
+        // Used to saturate to u64::MAX.
+        rejects(
+            r#"{"ev":"cycle_start","time":0.0,"cycle":1e20}"#,
+            &["field 'cycle'", "out of range for u64"],
+        );
+        rejects(
+            r#"{"ev":"cell_enter","time":0.0,"cell":18446744073709551616,"nodes":1,"apps":1}"#,
+            &["field 'cell'", "out of range for u64"],
+        );
+    }
+
+    #[test]
+    fn id_beyond_u32_is_rejected_naming_the_field() {
+        rejects(
+            r#"{"ev":"node_reinstated","time":0.0,"cycle":1,"node":4294967296}"#,
+            &["field 'node'", "node id 4294967296 is out of range for u32"],
+        );
+        rejects(
+            r#"{"ev":"starvation_break","time":0.0,"cycles":3,"apps":[1,4294967296]}"#,
+            &["field 'apps'", "app id 4294967296 is out of range for u32"],
+        );
+    }
+
+    #[test]
+    fn non_number_is_rejected_naming_the_field() {
+        rejects(
+            r#"{"ev":"cycle_start","time":0.0,"cycle":"1"}"#,
+            &["field 'cycle'", "expected a number"],
+        );
+        rejects(
+            r#"{"ev":"txn_expanded","time":0.0,"app":null,"node":1,"delta":0.5}"#,
+            &["field 'app'", "expected a number"],
+        );
+    }
+
+    #[test]
+    fn unknown_names_are_rejected_listing_the_known_ones() {
+        rejects(
+            r#"{"ev":"warp_core_breach","time":0.0}"#,
+            &[
+                "field 'ev'",
+                "\"warp_core_breach\"",
+                "cycle_start|phase_span|",
+            ],
+        );
+        rejects(
+            r#"{"ev":"op_deferred","time":0.0,"cycle":0,"app":0,"node":0,"reason":"quarantine"}"#,
+            &["field 'reason'", "expected one of backoff|rollback"],
+        );
+        rejects(
+            r#"{"ev":"phase_span","time":0.0,"cycle":0,"phase":"dream"}"#,
+            &["field 'phase'", "optimize|actuate|reconcile|sample"],
+        );
     }
 
     #[test]

@@ -27,7 +27,7 @@ use dynaplace::model::placement::Placement;
 use dynaplace::sim::metrics::RunMetrics;
 use dynaplace::sim::spec::{ObservationSpec, ScenarioSpec, ShardingSpec};
 use dynaplace::trace::{JsonlSink, TraceEvent, TraceLevel, TraceSink};
-use dynaplace_json::Json;
+use dynaplace_json::{FromJson, Json};
 use dynaplace_testutil::gen::{self, GenProfile};
 use dynaplace_testutil::oracle::{self, DiffOptions};
 use proptest::prelude::*;

@@ -815,7 +815,7 @@ fn one_event_per_kind() -> Vec<dynaplace::trace::TraceEvent> {
 #[test]
 fn trace_event_wire_format_matches_golden() {
     use dynaplace::trace::TraceEvent;
-    use dynaplace_json::Json;
+    use dynaplace_json::{FromJson, Json, ToJson};
 
     let events = one_event_per_kind();
     let kinds: std::collections::BTreeSet<&str> = events.iter().map(TraceEvent::kind).collect();
