@@ -4,7 +4,7 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// Writes `lines` to a scratch trace file and runs `trace_dump` on it.
+/// Writes `lines` to a temporary trace file and runs `trace_dump` on it.
 fn dump(name: &str, lines: &[&str]) -> Output {
     let path: PathBuf =
         std::env::temp_dir().join(format!("trace_dump_{}_{name}.jsonl", std::process::id()));

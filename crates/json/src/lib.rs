@@ -9,7 +9,10 @@
 //! explicit [`ToJson`]/[`FromJson`] implementations; a struct whose wire
 //! form is an object keyed by its field names gets both from one
 //! [`json_object!`] table, which states every key, read default and
-//! omission rule exactly once. Keeping the format in code that runs
+//! omission rule exactly once, and a tagged enum gets both, plus its
+//! name accessor, from one [`json_enum!`] variant table (unit names,
+//! an external single-key tag, or an internal tag key; each form has an
+//! example there). Keeping the format in code that runs
 //! makes the on-disk format an intentional, reviewed surface rather
 //! than a derive side effect.
 //!

@@ -555,9 +555,9 @@ pub enum TraceEvent {
     },
 }
 
-/// The engine's words for the `&'static str` fields of [`TraceEvent`].
-/// Decoding interns a word back to the table's own literal, so an
-/// unknown word is an error.
+// The engine's words for the `&'static str` fields of `TraceEvent`.
+// Decoding interns a word back to the table's own literal, so an
+// unknown word is an error.
 const OPS: &[&str] = &["boot", "suspend", "resume", "migrate"];
 const OUTCOMES: &[&str] = &["applied", "failed", "timed_out"];
 const DEFERRALS: &[&str] = &["backoff", "rollback"];
