@@ -295,28 +295,41 @@ fn mixed_workload_matches_golden() {
     assert_matches_golden("mixed_workload", &render(&metrics));
 }
 
-/// The decision trace of the mixed workload, in deterministic form
-/// (wall-clock fields stripped), pinned line by line. Any change to
-/// *why* the controller decides what it decides — not just *what* it
-/// decides — shows up here as a readable diff.
-#[test]
-fn mixed_workload_trace_matches_golden() {
+/// Runs `name` with decision tracing on and pins its trace in
+/// deterministic form (wall-clock fields stripped), line by line. Any
+/// change to *why* the controller decides what it decides — not just
+/// *what* it decides — shows up here as a readable diff.
+fn assert_trace_matches_golden(name: &str) {
     use std::sync::Arc;
 
     use dynaplace::trace::{JsonlSink, TraceLevel, TraceSink};
 
-    let spec = load_scenario("mixed_workload");
+    let spec = load_scenario(name);
     let mut sim = spec.build();
     sim.record_placements(true);
     let sink = Arc::new(JsonlSink::new(TraceLevel::Decisions));
     sim.set_trace_sink(Arc::clone(&sink) as Arc<dyn TraceSink>);
     let metrics = sim.run();
-    check_invariants("mixed_workload trace", &spec, &metrics);
+    let label = format!("{name} trace");
+    check_invariants(&label, &spec, &metrics);
     assert_matches_golden_file(
-        "mixed_workload.trace.jsonl",
-        "mixed_workload trace",
+        &format!("{name}.trace.jsonl"),
+        &label,
         &sink.deterministic_jsonl(),
     );
+}
+
+#[test]
+fn mixed_workload_trace_matches_golden() {
+    assert_trace_matches_golden("mixed_workload");
+}
+
+/// The sharded trace pins the cell bracketing: each cell's search
+/// events sit between its `cell_enter` and `cell_exit`, in cell order,
+/// followed by the rebalancer's moves.
+#[test]
+fn sharded_cluster_trace_matches_golden() {
+    assert_trace_matches_golden("sharded_cluster");
 }
 
 #[test]
