@@ -247,7 +247,6 @@ fn bench_scoring_mode(c: &mut Criterion) {
         ] {
             let config = ApcConfig::builder()
                 .scoring(scoring)
-                .threads(1)
                 .build()
                 .expect("valid scoring-mode config");
             group.bench_with_input(

@@ -119,9 +119,8 @@ pub struct CacheStats {
 /// [`crate::problem::PlacementProblem`].
 ///
 /// Interior mutability keeps call sites shared-reference friendly (the
-/// water-filler reads it from inside closures). The cache is
-/// intentionally `!Sync`: parallel scoring resolves hits on the
-/// coordinating thread and lets workers compute misses from scratch.
+/// water-filler reads it from inside closures). The cache is `!Sync`:
+/// it belongs to one search on one thread.
 #[derive(Debug, Default)]
 pub struct ScoreCache {
     scores: RefCell<MemoMap<PlacementKey, Option<Arc<PlacementScore>>>>,

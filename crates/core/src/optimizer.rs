@@ -100,12 +100,6 @@ pub struct ApcConfig {
     pub max_fill_candidates: usize,
     /// Candidate scoring strategy (bit-identical either way).
     pub scoring: ScoringMode,
-    /// Worker threads scoring a node's candidates concurrently; `0`
-    /// means one per available core, `1` (the default) is fully serial.
-    /// The reduction is a serial left fold over candidates in their
-    /// deterministic generation order, so the chosen placement is
-    /// bit-identical at any thread count.
-    pub threads: usize,
     /// Optional wall-clock budget for one optimization run. The search
     /// checks it at node-loop granularity and returns the best placement
     /// found so far when it elapses, flagging the outcome as
@@ -119,8 +113,7 @@ pub struct ApcConfig {
     /// bit-identical to every release before sharding existed. `Some`
     /// partitions the cluster into cells of
     /// [`ShardingPolicy::cell_size`] nodes, places each cell
-    /// independently (in parallel when [`ApcConfig::threads`] allows),
-    /// and rebalances the worst-satisfied applications across cells.
+    /// independently, one cell after another, and rebalances the worst-satisfied applications across cells.
     pub sharding: Option<ShardingPolicy>,
 }
 
@@ -134,7 +127,6 @@ impl Default for ApcConfig {
             max_sweeps: 8,
             max_fill_candidates: 64,
             scoring: ScoringMode::default(),
-            threads: 1,
             deadline: None,
             sharding: None,
         }
@@ -154,8 +146,6 @@ pub enum ConfigError {
         /// The rejected value.
         value: f64,
     },
-    /// `threads` is beyond any plausible machine (suggests a unit error).
-    TooManyThreads(usize),
     /// `max_sweeps` of zero would return the incumbent unexamined.
     ZeroSweeps,
     /// A sharding cell must hold at least one node.
@@ -171,7 +161,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::InvalidThreshold { name, value } => {
                 write!(f, "{name} must be finite and >= 0, got {value}")
             }
-            ConfigError::TooManyThreads(n) => write!(f, "threads = {n} is not a sane worker count"),
             ConfigError::ZeroSweeps => write!(f, "max_sweeps must be at least 1"),
             ConfigError::ZeroCellSize => write!(f, "sharding cell_size must be at least 1"),
         }
@@ -183,8 +172,8 @@ impl std::error::Error for ConfigError {}
 /// Validating builder for [`ApcConfig`] — the blessed construction path
 /// now that the struct is `#[non_exhaustive]`. Unset fields keep their
 /// [`ApcConfig::default`] values; [`build`](Self::build) rejects
-/// non-finite or non-positive tolerances, absurd thread counts, and
-/// degenerate sharding policies.
+/// non-finite or non-positive tolerances, zero sweeps, and degenerate
+/// sharding policies.
 #[derive(Debug, Clone)]
 pub struct ApcConfigBuilder {
     config: ApcConfig,
@@ -233,12 +222,6 @@ impl ApcConfigBuilder {
         self
     }
 
-    /// Worker threads (`0` = one per core, `1` = serial).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
     /// Optional wall-clock budget for one optimization run.
     pub fn deadline(mut self, deadline: Option<std::time::Duration>) -> Self {
         self.config.deadline = deadline;
@@ -264,9 +247,6 @@ impl ApcConfigBuilder {
             if !value.is_finite() || value < 0.0 {
                 return Err(ConfigError::InvalidThreshold { name, value });
             }
-        }
-        if c.threads > 4096 {
-            return Err(ConfigError::TooManyThreads(c.threads));
         }
         if c.max_sweeps == 0 {
             return Err(ConfigError::ZeroSweeps);
@@ -304,16 +284,6 @@ impl ApcConfig {
             .build()
             .expect("narrative configuration is valid")
     }
-
-    /// The resolved scoring-thread count (`0` → available parallelism).
-    pub(crate) fn effective_threads(&self) -> usize {
-        match self.threads {
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            n => n,
-        }
-    }
 }
 
 /// Scores one placement under the configured [`ScoringMode`].
@@ -327,72 +297,6 @@ fn score_one(
         ScoringMode::FromScratch => score_placement(problem, placement).map(Arc::new),
         ScoringMode::Incremental => score_placement_cached(problem, placement, cache),
     }
-}
-
-/// Scores a batch of candidates, in parallel when configured.
-///
-/// Results come back indexed by the input order, and the caller folds
-/// them serially in that order — so the selection is bit-identical to
-/// scoring one candidate at a time, whatever the thread count. Under
-/// incremental scoring, hits are resolved here on the calling thread
-/// (the cache is single-threaded by design); workers only compute
-/// misses, from scratch, which yields the same values the cached path
-/// would (the memos are exact).
-fn score_candidates(
-    problem: &PlacementProblem<'_>,
-    config: &ApcConfig,
-    cache: &ScoreCache,
-    candidates: &[Placement],
-) -> Vec<Option<Arc<PlacementScore>>> {
-    let threads = config.effective_threads();
-    if threads <= 1 || candidates.len() <= 1 {
-        return candidates
-            .iter()
-            .map(|c| score_one(problem, config, cache, c))
-            .collect();
-    }
-
-    let mut results: Vec<Option<Option<Arc<PlacementScore>>>> = vec![None; candidates.len()];
-    let mut misses: Vec<usize> = Vec::new();
-    for (i, candidate) in candidates.iter().enumerate() {
-        match config.scoring {
-            ScoringMode::Incremental => {
-                let key = ScoreCache::placement_key(candidate);
-                match cache.lookup_score(&key) {
-                    Some(score) => results[i] = Some(score),
-                    None => misses.push(i),
-                }
-            }
-            ScoringMode::FromScratch => misses.push(i),
-        }
-    }
-
-    let scored: std::sync::Mutex<Vec<(usize, Option<Arc<PlacementScore>>)>> =
-        std::sync::Mutex::new(Vec::with_capacity(misses.len()));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads.min(misses.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= misses.len() {
-                    break;
-                }
-                let index = misses[i];
-                let score = score_placement(problem, &candidates[index]).map(Arc::new);
-                scored.lock().expect("scoring lock").push((index, score));
-            });
-        }
-    });
-    for (index, score) in scored.into_inner().expect("scoring lock") {
-        if let ScoringMode::Incremental = config.scoring {
-            cache.insert_score(ScoreCache::placement_key(&candidates[index]), score.clone());
-        }
-        results[index] = Some(score);
-    }
-    results
-        .into_iter()
-        .map(|r| r.expect("every candidate scored"))
-        .collect()
 }
 
 /// Compares two satisfaction vectors under the configured objective:
@@ -733,16 +637,13 @@ pub(crate) fn optimize_scoped(
                 }
                 candidates.push(candidate);
             }
-            // … score them (concurrently when configured), then fold the
-            // results serially in generation (k) order — the selection
-            // below is therefore identical at any thread count.
-            let scores = score_candidates(problem, config, &cache, &candidates);
+            // … then score and fold them in generation (k) order.
             let scored_count = candidates.len();
 
             // (candidate, score, disruptive action count)
             let mut node_best: Option<(Placement, Arc<PlacementScore>, usize)> = None;
-            for (candidate, score) in candidates.into_iter().zip(scores) {
-                let Some(score) = score else {
+            for candidate in candidates {
+                let Some(score) = score_one(problem, config, &cache, &candidate) else {
                     continue;
                 };
                 stats.evaluations += 1;

@@ -8,7 +8,7 @@
 //! nodes, live applications are distributed across cells by a
 //! deterministic greedy pack on estimated demand vs. cell capacity, each
 //! cell is solved independently with the existing three-loop search
-//! (in parallel across cells, each with its own score cache), and a
+//! (one cell after another, each with its own score cache), and a
 //! cross-cell rebalancer then tries moving the worst-satisfied
 //! applications from saturated cells into slack ones.
 //!
@@ -22,9 +22,9 @@
 //! # Determinism contract
 //!
 //! Cell partitioning, per-cell assignment, per-cell results, and the
-//! merged placement are bit-identical across runs and thread counts:
-//! cells are contiguous id-ordered chunks, the greedy pack sorts by
-//! (demand desc, id asc) with `total_cmp`, cells are solved by the
+//! merged placement are bit-identical across runs: cells are
+//! contiguous id-ordered chunks, the greedy pack sorts by (demand
+//! desc, id asc) with `total_cmp`, cells are solved by the
 //! deterministic scoped search and merged in cell order, and the
 //! rebalancer adopts moves by the same `objective_cmp` the optimizer
 //! uses. With one cell (``cell_size >= cluster``) the pipeline reduces
@@ -33,8 +33,6 @@
 //! `crates/core/tests/shard_differential.rs` enforces via `to_bits`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 
 use dynaplace_model::cluster::Cluster;
 use dynaplace_model::ids::{AppId, NodeId};
@@ -326,50 +324,6 @@ fn reserve_escalated(
     (reduced, forbidden)
 }
 
-/// A sink that buffers one cell's events so a parallel cell solve can
-/// replay them into the parent sink in deterministic cell order. It
-/// mirrors the parent's level appetite, so a disabled parent still costs
-/// the cells nothing.
-#[derive(Debug)]
-struct BufferSink {
-    decisions: bool,
-    verbose: bool,
-    events: Mutex<Vec<TraceEvent>>,
-}
-
-impl BufferSink {
-    fn new(parent: &dyn TraceSink) -> Self {
-        BufferSink {
-            decisions: parent.wants(TraceLevel::Decisions),
-            verbose: parent.wants(TraceLevel::Verbose),
-            events: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn drain(&self) -> Vec<TraceEvent> {
-        std::mem::take(&mut *self.events.lock().expect("cell trace buffer poisoned"))
-    }
-}
-
-impl TraceSink for BufferSink {
-    fn wants(&self, level: TraceLevel) -> bool {
-        match level {
-            TraceLevel::Decisions => self.decisions,
-            TraceLevel::Verbose => self.verbose,
-        }
-    }
-
-    fn record(&self, event: &TraceEvent) {
-        if !self.wants(event.level()) {
-            return;
-        }
-        self.events
-            .lock()
-            .expect("cell trace buffer poisoned")
-            .push(event.clone());
-    }
-}
-
 /// Sums a cell outcome's counters into the pass totals.
 fn absorb_stats(stats: &mut OptimizerStats, timed_out: &mut bool, outcome: &PlacementOutcome) {
     stats.evaluations += outcome.stats.evaluations;
@@ -465,83 +419,39 @@ pub(crate) fn place_sharded(
         })
         .collect();
 
-    // Solve the cells — in parallel when configured, each through a
-    // buffering sink replayed in cell order so the trace stream is
-    // deterministic at any thread count. Outer workers force the
-    // per-cell search serial so threads aren't multiplied.
-    let workers = config.effective_threads().min(cells.len());
-    let cell_config = if workers > 1 {
-        ApcConfig {
-            threads: 1,
-            ..config.clone()
-        }
-    } else {
-        config.clone()
-    };
-    let buffers: Vec<BufferSink> = (0..cells.len()).map(|_| BufferSink::new(sink)).collect();
-    let solve = |i: usize| {
-        optimize_scoped(
-            &cell_problems[i],
-            &cell_config,
-            allow_removals,
-            &buffers[i],
-            SearchScope {
-                nodes: Some(&cells[i]),
-                movable: None,
-            },
-        )
-    };
-    let outcomes: Vec<PlacementOutcome> = if workers <= 1 {
-        (0..cells.len()).map(solve).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let collected: Mutex<Vec<(usize, PlacementOutcome)>> =
-            Mutex::new(Vec::with_capacity(cells.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, AtomicOrdering::Relaxed);
-                    if i >= cells.len() {
-                        break;
-                    }
-                    let outcome = solve(i);
-                    collected
-                        .lock()
-                        .expect("cell outcomes poisoned")
-                        .push((i, outcome));
-                });
-            }
-        });
-        let mut slots: Vec<Option<PlacementOutcome>> = (0..cells.len()).map(|_| None).collect();
-        for (i, outcome) in collected.into_inner().expect("cell outcomes poisoned") {
-            slots[i] = Some(outcome);
-        }
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every cell solved"))
-            .collect()
-    };
-
-    // Replay each cell's trace in cell order, bracketed by enter/exit.
-    if sink.wants(TraceLevel::Decisions) {
-        for (i, (buffer, outcome)) in buffers.iter().zip(&outcomes).enumerate() {
+    // Solve the cells in cell order, each cell's events bracketed by
+    // its enter/exit in the parent trace.
+    let decisions = sink.wants(TraceLevel::Decisions);
+    let mut outcomes: Vec<PlacementOutcome> = Vec::with_capacity(cells.len());
+    for (i, (nodes, cell_problem)) in cells.iter().zip(&cell_problems).enumerate() {
+        if decisions {
             sink.record(&TraceEvent::CellEnter {
                 time: now,
                 cell: i as u64,
-                nodes: cells[i].len(),
-                apps: cell_problems[i].workloads.len(),
+                nodes: nodes.len(),
+                apps: cell_problem.workloads.len(),
             });
-            for event in buffer.drain() {
-                sink.record(&event);
-            }
+        }
+        let outcome = optimize_scoped(
+            cell_problem,
+            config,
+            allow_removals,
+            sink,
+            SearchScope {
+                nodes: Some(nodes),
+                movable: None,
+            },
+        );
+        if decisions {
             sink.record(&TraceEvent::CellExit {
                 time: now,
                 cell: i as u64,
-                evaluations: outcomes[i].stats.evaluations as u64,
+                evaluations: outcome.stats.evaluations as u64,
                 adoptions: outcome.stats.adoptions as u64,
                 timed_out: outcome.timed_out,
             });
         }
+        outcomes.push(outcome);
     }
 
     let mut stats = OptimizerStats::default();

@@ -1,14 +1,13 @@
 //! Differential harness: the fast scoring paths are *proven equivalent*
 //! to the seed behavior, not assumed.
 //!
-//! Three claims, each checked bit-for-bit on randomized problems:
+//! Two claims, each checked bit-for-bit on randomized problems:
 //!
 //! 1. `score_placement_cached` == `score_placement` (the from-scratch
 //!    oracle), including on repeated queries through a warm cache;
 //! 2. `place`/`fill_only` under [`ScoringMode::Incremental`] ==
 //!    [`ScoringMode::FromScratch`] — same placement, same actions, same
-//!    load distribution, same satisfaction vector, same search stats;
-//! 3. parallel candidate scoring == serial, at any thread count.
+//!    load distribution, same satisfaction vector, same search stats.
 //!
 //! "Bit-for-bit" is literal: every `f64` (allocations, relative
 //! performances) is compared through `to_bits`, so even a last-ulp
@@ -28,10 +27,9 @@ use dynaplace_testutil::fixtures::{arb_problem, ProblemFixture, ProblemParams};
 use dynaplace_testutil::PlacementInvariants;
 use proptest::prelude::*;
 
-fn config(scoring: ScoringMode, threads: usize) -> ApcConfig {
+fn config(scoring: ScoringMode) -> ApcConfig {
     ApcConfig::builder()
         .scoring(scoring)
-        .threads(threads)
         .build()
         .expect("valid differential config")
 }
@@ -104,13 +102,13 @@ proptest! {
     fn incremental_place_matches_from_scratch_oracle(params in arb_problem()) {
         let fixture = ProblemFixture::build(&params);
         let problem = fixture.problem();
-        let oracle = place(&problem, &config(ScoringMode::FromScratch, 1));
-        let incremental = place(&problem, &config(ScoringMode::Incremental, 1));
+        let oracle = place(&problem, &config(ScoringMode::FromScratch));
+        let incremental = place(&problem, &config(ScoringMode::Incremental));
         assert_outcomes_identical(&oracle, &incremental, "place");
         PlacementInvariants::assert_outcome(&problem, &incremental);
 
-        let oracle_fill = fill_only(&problem, &config(ScoringMode::FromScratch, 1));
-        let incremental_fill = fill_only(&problem, &config(ScoringMode::Incremental, 1));
+        let oracle_fill = fill_only(&problem, &config(ScoringMode::FromScratch));
+        let incremental_fill = fill_only(&problem, &config(ScoringMode::Incremental));
         assert_outcomes_identical(&oracle_fill, &incremental_fill, "fill_only");
         PlacementInvariants::assert_outcome(&problem, &incremental_fill);
     }
@@ -118,26 +116,6 @@ proptest! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Claim 3: the parallel inner loop's ordered reduction makes the
-    /// thread count unobservable, in both scoring modes.
-    #[test]
-    fn parallel_place_matches_serial(params in arb_problem()) {
-        let fixture = ProblemFixture::build(&params);
-        let problem = fixture.problem();
-        let serial = place(&problem, &config(ScoringMode::Incremental, 1));
-        for threads in [2, 4, 8] {
-            let parallel = place(&problem, &config(ScoringMode::Incremental, threads));
-            assert_outcomes_identical(
-                &serial,
-                &parallel,
-                &format!("incremental, {threads} threads"),
-            );
-        }
-        let oracle = place(&problem, &config(ScoringMode::FromScratch, 1));
-        let parallel_oracle = place(&problem, &config(ScoringMode::FromScratch, 3));
-        assert_outcomes_identical(&oracle, &parallel_oracle, "from-scratch, 3 threads");
-    }
 
     /// Claim 1: direct differential test of the scoring entry points on
     /// a bag of candidate placements, through a cold and then warm cache.
@@ -182,9 +160,8 @@ proptest! {
         let fixture = ProblemFixture::build(&params);
         let problem = fixture.problem();
         for cfg in [
-            config(ScoringMode::FromScratch, 1),
-            config(ScoringMode::Incremental, 1),
-            config(ScoringMode::Incremental, 4),
+            config(ScoringMode::FromScratch),
+            config(ScoringMode::Incremental),
         ] {
             let first = place(&problem, &cfg);
             let second = place(&problem, &cfg);

@@ -43,10 +43,9 @@ const SLACK_DIMS: [&str; 3] = ["disk_mb", "net_mbps", "license_slots"];
 /// Ample per-node capacity: no slack dimension can ever bind.
 const SLACK_CAPACITY: f64 = 1e12;
 
-fn config(scoring: ScoringMode, threads: usize) -> ApcConfig {
+fn config(scoring: ScoringMode) -> ApcConfig {
     ApcConfig::builder()
         .scoring(scoring)
-        .threads(threads)
         .build()
         .expect("valid differential config")
 }
@@ -186,13 +185,13 @@ proptest! {
         let memory_only = base.problem();
         let multi = slack.problem();
         for scoring in [ScoringMode::FromScratch, ScoringMode::Incremental] {
-            let a = place(&memory_only, &config(scoring, 1));
-            let b = place(&multi, &config(scoring, 1));
+            let a = place(&memory_only, &config(scoring));
+            let b = place(&multi, &config(scoring));
             assert_outcomes_identical(&a, &b, &format!("place, {scoring:?}"));
             PlacementInvariants::assert_outcome(&multi, &b);
 
-            let fa = fill_only(&memory_only, &config(scoring, 1));
-            let fb = fill_only(&multi, &config(scoring, 1));
+            let fa = fill_only(&memory_only, &config(scoring));
+            let fb = fill_only(&multi, &config(scoring));
             assert_outcomes_identical(&fa, &fb, &format!("fill_only, {scoring:?}"));
             PlacementInvariants::assert_outcome(&multi, &fb);
         }
@@ -248,8 +247,7 @@ proptest! {
         let slack = with_slack_dims(&params, &base);
         let problem = slack.problem();
         for cfg in [
-            config(ScoringMode::Incremental, 1),
-            config(ScoringMode::Incremental, 4),
+            config(ScoringMode::Incremental),
             sharded(ScoringMode::Incremental, 2),
         ] {
             let first = place(&problem, &cfg);
@@ -329,7 +327,7 @@ fn binding_license_dimension_forces_a_split() {
     let licensed = build_world(true);
     let fast = NodeId::new(0);
 
-    let baseline = place(&memory_only.problem(), &config(ScoringMode::Incremental, 1));
+    let baseline = place(&memory_only.problem(), &config(ScoringMode::Incremental));
     let apps: Vec<AppId> = memory_only.workloads.keys().copied().collect();
     for &app in &apps {
         assert_eq!(
@@ -340,7 +338,7 @@ fn binding_license_dimension_forces_a_split() {
     }
 
     let problem = licensed.problem();
-    let constrained = place(&problem, &config(ScoringMode::Incremental, 1));
+    let constrained = place(&problem, &config(ScoringMode::Incremental));
     PlacementInvariants::assert_outcome(&problem, &constrained);
     let hosts: Vec<Option<NodeId>> = apps
         .iter()

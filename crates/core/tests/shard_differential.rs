@@ -7,7 +7,7 @@
 //!    *bit-for-bit*: same placement, same actions, same stats, every
 //!    `f64` compared through `to_bits`.
 //! 2. **Determinism** — multi-cell sharded placement is bit-identical
-//!    across repeated runs and across thread counts.
+//!    across repeated runs.
 //! 3. **Safety** — sharded outcomes always satisfy the shared placement
 //!    invariants and never occupy a forbidden (quarantined) pair, no
 //!    matter how the cells fall.
@@ -34,10 +34,9 @@ fn unsharded(scoring: ScoringMode) -> ApcConfig {
         .expect("valid unsharded config")
 }
 
-fn sharded(scoring: ScoringMode, cell_size: usize, threads: usize) -> ApcConfig {
+fn sharded(scoring: ScoringMode, cell_size: usize) -> ApcConfig {
     ApcConfig::builder()
         .scoring(scoring)
-        .threads(threads)
         .sharding(Some(ShardingPolicy::new(cell_size)))
         .build()
         .expect("valid sharded config")
@@ -96,7 +95,7 @@ proptest! {
             // Both "cell exactly covers the cluster" and "cell larger
             // than the cluster" must hit the degenerate path.
             for cell_size in [params.nodes.len(), 1_024] {
-                let cfg = sharded(scoring, cell_size, 1);
+                let cfg = sharded(scoring, cell_size);
                 let shard = place(&problem, &cfg);
                 assert_outcomes_identical(
                     &classic,
@@ -119,25 +118,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Claim 2: on genuinely multi-cell problems, the sharded result is
-    /// bit-identical across repeats and across thread counts — the cell
-    /// solves may land in any order, but the merge may not show it.
+    /// bit-identical across repeats.
     #[test]
     fn sharded_place_is_deterministic(
         params in arb_problem_sized(5..9, 4..10),
     ) {
         let fixture = ProblemFixture::build(&params);
         let problem = fixture.problem();
-        let baseline = place(&problem, &sharded(ScoringMode::Incremental, 2, 1));
-        let repeat = place(&problem, &sharded(ScoringMode::Incremental, 2, 1));
-        assert_outcomes_identical(&baseline, &repeat, "repeat, 1 thread");
-        for threads in [2, 4, 8] {
-            let parallel = place(&problem, &sharded(ScoringMode::Incremental, 2, threads));
-            assert_outcomes_identical(
-                &baseline,
-                &parallel,
-                &format!("{threads} threads"),
-            );
-        }
+        let baseline = place(&problem, &sharded(ScoringMode::Incremental, 2));
+        let repeat = place(&problem, &sharded(ScoringMode::Incremental, 2));
+        assert_outcomes_identical(&baseline, &repeat, "repeat");
     }
 
     /// Claim 3: whatever the cells decide, the merged placement obeys
@@ -149,9 +139,9 @@ proptest! {
     ) {
         let fixture = ProblemFixture::build(&params);
         let problem = fixture.problem();
-        let outcome = place(&problem, &sharded(ScoringMode::Incremental, cell_size, 2));
+        let outcome = place(&problem, &sharded(ScoringMode::Incremental, cell_size));
         PlacementInvariants::assert_outcome(&problem, &outcome);
-        let filled = fill_only(&problem, &sharded(ScoringMode::Incremental, cell_size, 2));
+        let filled = fill_only(&problem, &sharded(ScoringMode::Incremental, cell_size));
         PlacementInvariants::assert_outcome(&problem, &filled);
     }
 
@@ -182,7 +172,7 @@ proptest! {
             forbidden.clone(),
         )
         .expect("fixture problems are well-formed");
-        let outcome = place(&problem, &sharded(ScoringMode::Incremental, cell_size, 2));
+        let outcome = place(&problem, &sharded(ScoringMode::Incremental, cell_size));
         PlacementInvariants::assert_outcome(&problem, &outcome);
         for &(app, node) in &forbidden {
             prop_assert_eq!(
@@ -219,7 +209,7 @@ fn empty_cells_are_harmless() {
     };
     let fixture = ProblemFixture::build(&params);
     let problem = fixture.problem();
-    let outcome = place(&problem, &sharded(ScoringMode::Incremental, 2, 2));
+    let outcome = place(&problem, &sharded(ScoringMode::Incremental, 2));
     PlacementInvariants::assert_outcome(&problem, &outcome);
     for app in fixture.workloads.keys() {
         assert!(
@@ -270,7 +260,7 @@ fn oversized_app_escalates_instead_of_livelocking() {
         BTreeSet::new(),
     )
     .expect("well-formed problem");
-    let outcome = place(&problem, &sharded(ScoringMode::Incremental, 1, 2));
+    let outcome = place(&problem, &sharded(ScoringMode::Incremental, 1));
     PlacementInvariants::assert_outcome(&problem, &outcome);
     assert!(
         outcome.placement.total_instances(web) >= 2,

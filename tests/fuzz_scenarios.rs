@@ -6,7 +6,7 @@
 //!   convergence) on the widest generator profile.
 //! - **Differential**: run pairs whose contracts promise bit-equal
 //!   metrics — sharded(cell ≥ cluster) vs. classic, cached vs. oracle
-//!   scoring, parallel vs. serial, traced vs. noop, JSON-round-tripped
+//!   scoring, traced vs. noop, JSON-round-tripped
 //!   vs. original, zero-fault observation vs. no observation layer —
 //!   compared field-by-field via `to_bits`.
 //! - **Metamorphic**: transformations that must not change decisions
@@ -91,18 +91,6 @@ proptest! {
             oracle::run_spec_with(s, |sim| {
                 let mut cfg = sim.apc_config().expect("quick profile is APC-only").clone();
                 cfg.scoring = ScoringMode::FromScratch;
-                sim.set_apc_config(cfg);
-            })
-        })?;
-    }
-
-    /// Multi-threaded placement is bit-equal to serial placement.
-    #[test]
-    fn parallel_placement_equals_serial(spec in gen::scenarios(GenProfile::quick())) {
-        assert_equivalent("parallel_vs_serial", &spec, DiffOptions::default(), |s| {
-            oracle::run_spec_with(s, |sim| {
-                let mut cfg = sim.apc_config().expect("quick profile is APC-only").clone();
-                cfg.threads = 4;
                 sim.set_apc_config(cfg);
             })
         })?;
