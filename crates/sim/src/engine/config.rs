@@ -125,17 +125,6 @@ pub struct SimConfig {
     /// untraced build; with a path, every controller decision is buffered
     /// as a JSONL event stream and flushed there at end of run.
     pub trace: TraceConfig,
-    /// Starvation breaker (unbounded runs only): after this many
-    /// consecutive control cycles in which live jobs exist, nothing else
-    /// is pending, and the system state is provably identical to the
-    /// previous cycle, the run is declared starved — the surviving jobs
-    /// are recorded in [`RunMetrics::starvation`] and the simulation
-    /// terminates instead of cycling forever. Since the sub-floor
-    /// utility band made hopeless-job starvation impossible by
-    /// construction, this is a should-never-fire diagnostic: a trip
-    /// indicates a controller regression, not a legitimate workload
-    /// outcome. `0` disables the breaker (such runs then never return).
-    pub stall_limit: u32,
     /// Completion-history retention. [`MetricsRetention::Full`] (the
     /// default) keeps every per-job record; [`MetricsRetention::Aggregate`]
     /// folds completions into running totals and retires finished jobs so
@@ -144,11 +133,19 @@ pub struct SimConfig {
     pub retention: MetricsRetention,
 }
 
-/// Default [`SimConfig::stall_limit`]: generous, because slow-moving
-/// controller state (e.g. the online demand profiler accumulating
-/// observations) may legitimately take many identical-looking cycles
-/// before a decision flips.
-pub const DEFAULT_STALL_LIMIT: u32 = 64;
+/// Starvation breaker (unbounded runs only): after this many
+/// consecutive control cycles in which live jobs exist, nothing else is
+/// pending, and the system state is provably identical to the previous
+/// cycle, the run is declared starved — the surviving jobs are recorded
+/// in [`RunMetrics::starvation`] and the simulation terminates instead
+/// of cycling forever. Since the sub-floor utility band made
+/// hopeless-job starvation impossible by construction, this is a
+/// should-never-fire diagnostic: a trip indicates a controller
+/// regression, not a legitimate workload outcome. The limit is
+/// generous, because slow-moving controller state (e.g. the online
+/// demand profiler accumulating observations) may legitimately take
+/// many identical-looking cycles before a decision flips.
+pub(super) const STALL_LIMIT: u32 = 64;
 
 /// Relative estimation errors presented to the placement controller.
 ///
@@ -201,7 +198,6 @@ impl SimConfig {
             actuation: ActuationConfig::default(),
             observation: ObservationConfig::default(),
             trace: TraceConfig::default(),
-            stall_limit: DEFAULT_STALL_LIMIT,
             retention: MetricsRetention::Full,
         }
     }

@@ -61,7 +61,7 @@ mod reconcile;
 mod sample;
 mod telemetry;
 
-pub use config::{EstimationNoise, MetricsRetention, NodeOutage, SimConfig, DEFAULT_STALL_LIMIT};
+pub use config::{EstimationNoise, MetricsRetention, NodeOutage, SimConfig};
 
 #[derive(Debug)]
 struct Job {
@@ -268,7 +268,7 @@ impl Simulation {
 
     /// Replaces the APC optimizer configuration after construction.
     /// Differential harnesses use this to rerun one scenario under
-    /// varied scoring modes or thread counts without a scenario-file
+    /// varied scoring modes or sharding without a scenario-file
     /// switch for each knob.
     ///
     /// # Panics
@@ -294,7 +294,7 @@ impl Simulation {
     /// drives CPU bounds at runtime), speed cap is the maximum stage
     /// speed.
     pub fn add_job(&mut self, build: impl FnOnce(AppId) -> JobSpec) -> AppId {
-        self.insert_job(None, build, None, &[])
+        self.insert_job(None, 1, build, None, &[])
     }
 
     /// Like [`Simulation::add_job`] with a node restriction.
@@ -303,29 +303,40 @@ impl Simulation {
         build: impl FnOnce(AppId) -> JobSpec,
         allowed: Option<Vec<NodeId>>,
     ) -> AppId {
-        self.insert_job(None, build, allowed, &[])
+        self.insert_job(None, 1, build, allowed, &[])
     }
 
-    /// Like [`Simulation::add_job`], additionally declaring per-instance
-    /// demand in the cluster's extra rigid dimensions beyond memory, in
-    /// registry order starting at dimension 1 (see
-    /// [`Cluster::dims`]). Demands stay constant across job stages; only
-    /// memory varies per stage.
-    pub fn add_job_with_rigid(
-        &mut self,
-        extra_rigid: &[f64],
-        build: impl FnOnce(AppId) -> JobSpec,
-    ) -> AppId {
-        self.insert_job(None, build, None, extra_rigid)
+    /// Submits a *malleable parallel* job with up to `tasks` concurrent
+    /// task instances, each pinning the profile's stage memory and
+    /// running at up to the stage's maximum speed; the job progresses at
+    /// the sum of its placed tasks' speeds. Only supported under the APC
+    /// scheduler (the FCFS/EDF baselines model single-instance jobs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tasks` is zero, or above one under a baseline
+    /// scheduler.
+    pub fn add_parallel_job(&mut self, tasks: u32, build: impl FnOnce(AppId) -> JobSpec) -> AppId {
+        self.insert_job(None, tasks, build, None, &[])
     }
 
+    /// Registers a batch job of up to `tasks` instances. `extra_rigid`
+    /// is the per-instance demand in the cluster's extra rigid
+    /// dimensions beyond memory, in registry order starting at
+    /// dimension 1 (see [`Cluster::dims`]); it stays constant across job
+    /// stages, while memory is the maximum over stages.
     fn insert_job(
         &mut self,
         id: Option<AppId>,
+        tasks: u32,
         build: impl FnOnce(AppId) -> JobSpec,
         allowed: Option<Vec<NodeId>>,
         extra_rigid: &[f64],
     ) -> AppId {
+        assert!(
+            tasks == 1 || self.config.scheduler.class() == PolicyClass::Apc,
+            "parallel jobs require the APC scheduler"
+        );
         // Resolve the id first so the spec can reference it: the
         // caller's pre-assigned id (streamed replay), or the smallest
         // unreserved free slot.
@@ -344,95 +355,12 @@ impl Simulation {
             .iter()
             .map(|s| s.max_speed())
             .fold(CpuSpeed::ZERO, CpuSpeed::max);
-        let mut app_spec = ApplicationSpec::batch(memory, max_speed);
+        let mut app_spec = ApplicationSpec::batch_parallel(memory, max_speed, tasks);
         if !extra_rigid.is_empty() {
             app_spec = app_spec.with_extra_rigid_demand(extra_rigid.iter().copied());
         }
         if let Some(nodes) = allowed {
             app_spec = app_spec.with_allowed_nodes(nodes);
-        }
-        let app = provisional;
-        self.apps.insert_at(app, app_spec);
-        let profile = Arc::new(spec.profile().clone());
-        let arrival = spec.arrival();
-        self.jobs.insert(
-            app,
-            Job {
-                spec,
-                profile,
-                state: JobState::new(),
-                node: None,
-                allocation: CpuSpeed::ZERO,
-                transition_until: SimTime::ZERO,
-                generation: 0,
-                arrived: false,
-                ever_started: false,
-                parallelism: 1,
-            },
-        );
-        self.events.push(arrival, EventKind::JobArrival(app));
-        app
-    }
-
-    /// Submits a *malleable parallel* job with up to `tasks` concurrent
-    /// task instances, each pinning the profile's stage memory and
-    /// running at up to the stage's maximum speed; the job progresses at
-    /// the sum of its placed tasks' speeds. Only supported under the APC
-    /// scheduler (the FCFS/EDF baselines model single-instance jobs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tasks` is zero or the scheduler is a baseline.
-    pub fn add_parallel_job(&mut self, tasks: u32, build: impl FnOnce(AppId) -> JobSpec) -> AppId {
-        self.add_parallel_job_with_rigid(tasks, &[], build)
-    }
-
-    /// Like [`Simulation::add_parallel_job`], additionally declaring
-    /// per-task demand in the cluster's extra rigid dimensions beyond
-    /// memory (see [`Simulation::add_job_with_rigid`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tasks` is zero or the scheduler is a baseline.
-    pub fn add_parallel_job_with_rigid(
-        &mut self,
-        tasks: u32,
-        extra_rigid: &[f64],
-        build: impl FnOnce(AppId) -> JobSpec,
-    ) -> AppId {
-        self.insert_parallel_job(None, tasks, extra_rigid, build)
-    }
-
-    fn insert_parallel_job(
-        &mut self,
-        id: Option<AppId>,
-        tasks: u32,
-        extra_rigid: &[f64],
-        build: impl FnOnce(AppId) -> JobSpec,
-    ) -> AppId {
-        assert!(tasks > 0, "tasks must be positive");
-        assert!(
-            self.config.scheduler.class() == PolicyClass::Apc,
-            "parallel jobs require the APC scheduler"
-        );
-        let provisional = id.unwrap_or_else(|| self.apps.peek_next_id());
-        let spec = build(provisional);
-        assert_eq!(spec.app(), provisional, "job spec must use the given id");
-        let memory = spec
-            .profile()
-            .stages()
-            .iter()
-            .map(|s| s.memory())
-            .fold(Memory::ZERO, Memory::max);
-        let per_task_speed = spec
-            .profile()
-            .stages()
-            .iter()
-            .map(|s| s.max_speed())
-            .fold(CpuSpeed::ZERO, CpuSpeed::max);
-        let mut app_spec = ApplicationSpec::batch_parallel(memory, per_task_speed, tasks);
-        if !extra_rigid.is_empty() {
-            app_spec = app_spec.with_extra_rigid_demand(extra_rigid.iter().copied());
         }
         let app = provisional;
         self.apps.insert_at(app, app_spec);
@@ -470,36 +398,9 @@ impl Simulation {
         pattern: Box<dyn ArrivalPattern + Send>,
         allowed: Option<Vec<NodeId>>,
     ) -> AppId {
-        self.add_txn_with_rigid(
-            &[],
-            memory_per_instance,
-            max_instances,
-            demand_per_request,
-            floor,
-            goal,
-            pattern,
-            allowed,
-        )
-    }
-
-    /// Like [`Simulation::add_txn`], additionally declaring per-instance
-    /// demand in the cluster's extra rigid dimensions beyond memory (see
-    /// [`Simulation::add_job_with_rigid`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn add_txn_with_rigid(
-        &mut self,
-        extra_rigid: &[f64],
-        memory_per_instance: Memory,
-        max_instances: u32,
-        demand_per_request: f64,
-        floor: SimDuration,
-        goal: ResponseTimeGoal,
-        pattern: Box<dyn ArrivalPattern + Send>,
-        allowed: Option<Vec<NodeId>>,
-    ) -> AppId {
         self.insert_txn(
             None,
-            extra_rigid,
+            &[],
             memory_per_instance,
             max_instances,
             demand_per_request,
@@ -624,11 +525,7 @@ impl Simulation {
             }
             spec
         };
-        if tasks > 1 {
-            self.insert_parallel_job(id, tasks, &extra_rigid, build);
-        } else {
-            self.insert_job(id, build, None, &extra_rigid);
-        }
+        self.insert_job(id, tasks, build, None, &extra_rigid);
     }
 
     fn admit_txn(&mut self, sub: TxnSubmission) {
@@ -750,13 +647,11 @@ impl Simulation {
     /// but future control cycles (no completions, arrivals, failures,
     /// recoveries, or actuation retries are coming). In that state the
     /// progress-relevant world is fingerprinted and consecutive
-    /// identical cycles counted against [`SimConfig::stall_limit`]. Any
+    /// identical cycles counted against [`config::STALL_LIMIT`]. Any
     /// disqualifying condition (or horizon-bounded runs, which terminate
     /// on their own and must stay bit-identical) resets the counter.
     fn starvation_detected(&mut self, pending_arrivals: bool) -> bool {
-        let limit = self.config.stall_limit;
-        let armed = limit > 0
-            && self.config.horizon.is_none()
+        let armed = self.config.horizon.is_none()
             && self.live_jobs > 0
             && !pending_arrivals
             && self.events.is_empty();
@@ -772,7 +667,7 @@ impl Simulation {
             self.stall_fingerprint = Some(fp);
             self.no_progress_cycles = 0;
         }
-        if self.no_progress_cycles < limit {
+        if self.no_progress_cycles < config::STALL_LIMIT {
             return false;
         }
         let apps: Vec<AppId> = self
@@ -803,7 +698,7 @@ impl Simulation {
     /// would make every fingerprint unique and the breaker would never
     /// fire. That slow-moving controller state may legitimately flip a
     /// decision after many outwardly identical cycles is exactly why
-    /// [`SimConfig::stall_limit`] is generous rather than 2. The
+    /// [`config::STALL_LIMIT`] is generous rather than 2. The
     /// telemetry layer's health counters are excluded for the same
     /// reason: under permanent heartbeat loss they flap forever, and
     /// fingerprinting them would let a genuinely starved run cycle

@@ -13,7 +13,7 @@
 //!   from a [`crate::source::WorkloadSource`];
 //! - `seq` — the insertion sequence, a deterministic tie-break that
 //!   makes same-instant, same-class events fire in scheduling order
-//!   regardless of heap internals, run count, or solver thread count.
+//!   regardless of heap internals or run count.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

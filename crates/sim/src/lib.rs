@@ -42,7 +42,6 @@
 //!     actuation: dynaplace_sim::actuation::ActuationConfig::default(),
 //!     observation: dynaplace_sim::observe::ObservationConfig::default(),
 //!     trace: dynaplace_trace::TraceConfig::default(),
-//!     stall_limit: dynaplace_sim::engine::DEFAULT_STALL_LIMIT,
 //!     retention: dynaplace_sim::engine::MetricsRetention::Full,
 //! };
 //! let metrics = paper_example(ExampleScenario::S2, config).run();

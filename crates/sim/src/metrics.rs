@@ -172,8 +172,8 @@ pub struct PlacementRecord {
 }
 
 /// The starvation breaker fired: live jobs existed but the system made
-/// provably zero progress for [`crate::engine::SimConfig::stall_limit`]
-/// consecutive control cycles with nothing else pending, so the run was
+/// provably zero progress for a generous number of consecutive control
+/// cycles with nothing else pending, so the run was
 /// terminated instead of cycling forever. The canonical trigger is a
 /// job whose deadline is so hopelessly blown that its relative
 /// performance sits at the floor whatever it receives, on a cluster

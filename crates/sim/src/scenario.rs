@@ -328,7 +328,7 @@ pub fn experiment_three(
 mod tests {
     use super::*;
     use crate::costs::VmCostModel;
-    use crate::engine::{MetricsRetention, DEFAULT_STALL_LIMIT};
+    use crate::engine::MetricsRetention;
     use dynaplace_apc::optimizer::ApcConfig;
     use dynaplace_apc::PolicyHandle;
 
@@ -348,7 +348,6 @@ mod tests {
             actuation: Default::default(),
             observation: Default::default(),
             trace: Default::default(),
-            stall_limit: DEFAULT_STALL_LIMIT,
             retention: MetricsRetention::Full,
         }
     }

@@ -10,7 +10,7 @@ use dynaplace_model::node::NodeSpec;
 use dynaplace_model::units::{CpuSpeed, Memory, SimDuration, SimTime, Work};
 use dynaplace_rpf::goal::CompletionGoal;
 use dynaplace_sim::costs::VmCostModel;
-use dynaplace_sim::engine::{MetricsRetention, SimConfig, Simulation, DEFAULT_STALL_LIMIT};
+use dynaplace_sim::engine::{MetricsRetention, SimConfig, Simulation};
 use dynaplace_sim::scenario::{experiment_one, experiment_two, paper_example, ExampleScenario};
 
 fn mhz(x: f64) -> CpuSpeed {
@@ -48,7 +48,6 @@ fn config(kind: PolicyHandle) -> SimConfig {
         actuation: Default::default(),
         observation: Default::default(),
         trace: Default::default(),
-        stall_limit: DEFAULT_STALL_LIMIT,
         retention: MetricsRetention::Full,
     }
 }
@@ -249,7 +248,6 @@ fn example_s2_starts_j2_earlier_than_s1_under_narrative_config() {
         actuation: Default::default(),
         observation: Default::default(),
         trace: Default::default(),
-        stall_limit: DEFAULT_STALL_LIMIT,
         retention: MetricsRetention::Full,
     };
     let s1 = paper_example(ExampleScenario::S1, narrative()).run();

@@ -27,7 +27,6 @@ fn main() {
             actuation: Default::default(),
             observation: Default::default(),
             trace: Default::default(),
-            stall_limit: dynaplace::sim::engine::DEFAULT_STALL_LIMIT,
             retention: dynaplace::sim::engine::MetricsRetention::Full,
         };
         let metrics = paper_example(scenario, config).run();

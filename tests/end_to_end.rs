@@ -7,7 +7,7 @@ use dynaplace::apc::optimizer::ApcConfig;
 use dynaplace::apc::PolicyHandle;
 use dynaplace::model::units::SimDuration;
 use dynaplace::sim::costs::VmCostModel;
-use dynaplace::sim::engine::{MetricsRetention, SimConfig, DEFAULT_STALL_LIMIT};
+use dynaplace::sim::engine::{MetricsRetention, SimConfig};
 use dynaplace::sim::scenario::{
     experiment_one, experiment_three, experiment_two, paper_example, ExampleScenario, SharingConfig,
 };
@@ -173,7 +173,6 @@ fn paper_example_scenarios() {
         actuation: Default::default(),
         observation: Default::default(),
         trace: Default::default(),
-        stall_limit: DEFAULT_STALL_LIMIT,
         retention: MetricsRetention::Full,
     };
     let s1 = paper_example(ExampleScenario::S1, config()).run();
