@@ -687,6 +687,32 @@ fn starved_floor_job_repro_drains_without_breaker() {
     oracle::check_run_message(&spec, &metrics).expect("drained run passes the invariant oracle");
 }
 
+/// An open finding, pinned under tests/repro/open/ (outside the corpus
+/// the runner below and CI's strict replay walk): under the
+/// vector-bin-packing baseline a constant transactional stream is routed
+/// its whole saturation demand first, so the one batch job never gets
+/// CPU on the single node and the starvation breaker ends the
+/// horizon-free run. The breaker is thus not yet a never-firing path
+/// for every policy, which is why the whole-run oracle still accepts a
+/// starvation report that names the unfinished jobs. When a change
+/// makes this run drain, this test fails: move the file into the corpus
+/// and require `starvation.is_none()` in the oracle.
+#[test]
+fn open_baseline_starvation_repro_still_trips_the_breaker() {
+    let path = repro_dir().join("open/baseline_txn_absorbs_node.json");
+    let text = std::fs::read_to_string(&path).expect("checked-in repro spec");
+    let spec = ScenarioSpec::from_json_str(&text).expect("open repro parses");
+    assert_eq!(spec.validate(), Ok(()));
+    let metrics = oracle::run_spec(&spec);
+    let starved = metrics
+        .starvation
+        .as_ref()
+        .expect("the breaker still fires on the open repro");
+    assert_eq!(starved.apps.len(), 1, "the stream's one job starves");
+    assert!(metrics.completions.is_empty());
+    oracle::check_run_message(&spec, &metrics).expect("a reported starvation passes the oracle");
+}
+
 /// Every spec under tests/repro/ is a permanent regression scenario:
 /// it parses, validates, and passes the whole-run invariant oracle.
 #[test]
