@@ -113,7 +113,8 @@ pub struct ApcConfig {
     /// bit-identical to every release before sharding existed. `Some`
     /// partitions the cluster into cells of
     /// [`ShardingPolicy::cell_size`] nodes, places each cell
-    /// independently, one cell after another, and rebalances the worst-satisfied applications across cells.
+    /// independently, one cell after another, and rebalances the
+    /// worst-satisfied applications across cells.
     pub sharding: Option<ShardingPolicy>,
 }
 
