@@ -25,6 +25,7 @@
 //! function at `t_now + T` is read at the candidate's aggregate batch
 //! allocation.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use dynaplace_model::ids::AppId;
@@ -301,6 +302,28 @@ impl JobColumn {
         Self { u_max: cap, w, v }
     }
 
+    /// The column of `job`, as seen at `now`, one control cycle later:
+    /// the job advanced by `omega · cycle` and sampled at `now + cycle`.
+    /// This is the column [`evaluate_batch_placement_with_columns`]
+    /// asks its caller for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the advanced job is completed.
+    pub fn after_cycle(
+        now: SimTime,
+        cycle: SimDuration,
+        job: &JobSnapshot,
+        omega: CpuSpeed,
+        grid: &[f64],
+    ) -> Self {
+        Self::build(
+            now + cycle,
+            &job.advanced(omega * cycle, SimDuration::ZERO),
+            grid,
+        )
+    }
+
     /// Number of grid rows sampled.
     pub fn rows(&self) -> usize {
         self.w.len()
@@ -529,15 +552,7 @@ pub fn performances_from_columns(
     rows: usize,
     omega_g: CpuSpeed,
 ) -> Vec<(AppId, Rp)> {
-    let mut row_sums = Vec::with_capacity(rows);
-    for i in 0..rows {
-        let mut sum = 0.0;
-        for (_, col) in columns {
-            debug_assert_eq!(col.rows(), rows, "columns must share the sampling grid");
-            sum += col.w[i];
-        }
-        row_sums.push(sum);
-    }
+    let row_sums = column_row_sums(columns, rows);
     let (k, theta) = bracket_rows(&row_sums, omega_g);
     columns
         .iter()
@@ -546,6 +561,21 @@ pub fn performances_from_columns(
             (*app, Rp::new(u))
         })
         .collect()
+}
+
+/// `Σ_m W[i][m]` per row, accumulated column by column: every row still
+/// adds its jobs in column order, starting from `0.0`, so each sum is
+/// the same `f64` [`HypotheticalRpf::from_columns`] computes row by row,
+/// while every column is read front to back.
+fn column_row_sums(columns: &[(AppId, Arc<JobColumn>)], rows: usize) -> Vec<f64> {
+    let mut row_sums = vec![0.0; rows];
+    for (_, col) in columns {
+        debug_assert_eq!(col.rows(), rows, "columns must share the sampling grid");
+        for (sum, &demand) in row_sums.iter_mut().zip(&col.w) {
+            *sum += demand;
+        }
+    }
+    row_sums
 }
 
 /// Result of evaluating one candidate placement one control cycle ahead.
@@ -570,10 +600,10 @@ pub struct BatchEvaluation {
 /// by the hypothetical function at `now + T` with aggregate allocation
 /// `ω_g = Σ_m ω_m`, assuming the batch workload keeps the same total
 /// allocation in subsequent cycles.
-pub fn evaluate_batch_placement(
+pub fn evaluate_batch_placement<J: Borrow<JobSnapshot>>(
     now: SimTime,
     cycle: SimDuration,
-    jobs: &[(JobSnapshot, CpuSpeed)],
+    jobs: &[(J, CpuSpeed)],
 ) -> BatchEvaluation {
     evaluate_batch_placement_with_grid(now, cycle, jobs, &default_grid())
 }
@@ -581,33 +611,35 @@ pub fn evaluate_batch_placement(
 /// [`evaluate_batch_placement`] with a custom sampling grid — exposed for
 /// studying the sensitivity of placement quality to the grid resolution
 /// (the paper only says `R` "is a small constant").
-pub fn evaluate_batch_placement_with_grid(
+pub fn evaluate_batch_placement_with_grid<J: Borrow<JobSnapshot>>(
     now: SimTime,
     cycle: SimDuration,
-    jobs: &[(JobSnapshot, CpuSpeed)],
+    jobs: &[(J, CpuSpeed)],
     grid: &[f64],
 ) -> BatchEvaluation {
-    let horizon = now + cycle;
-    evaluate_batch_placement_with_columns(now, cycle, jobs, grid, |survivor, _| {
-        Arc::new(JobColumn::build(horizon, survivor, grid))
+    evaluate_batch_placement_with_columns(now, cycle, jobs, grid, |job, omega| {
+        Arc::new(JobColumn::after_cycle(now, cycle, job, omega, grid))
     })
 }
 
 /// [`evaluate_batch_placement_with_grid`] with caller-supplied survivor
-/// columns: `column_for(survivor, omega)` returns the survivor's
-/// [`JobColumn`] as sampled at `now + cycle` on `grid` — typically from a
-/// memo keyed by `(survivor.app(), omega)`, since within one placement
-/// problem the advanced snapshot is a pure function of the job and its
-/// candidate allocation. Supplying exactly what [`JobColumn::build`]
-/// would return yields a bit-identical [`BatchEvaluation`].
-pub fn evaluate_batch_placement_with_columns<F>(
+/// columns: `column_for(job, omega)` returns
+/// [`JobColumn::after_cycle`]`(now, cycle, job, omega, grid)` for a job
+/// that survives the cycle — typically from a memo keyed by
+/// `(job.app(), omega)`, since within one placement problem that column
+/// is a pure function of the job and its candidate allocation. Supplying
+/// exactly what `after_cycle` would return yields a bit-identical
+/// [`BatchEvaluation`]. `jobs` may hold the snapshots or references to
+/// them.
+pub fn evaluate_batch_placement_with_columns<J, F>(
     now: SimTime,
     cycle: SimDuration,
-    jobs: &[(JobSnapshot, CpuSpeed)],
+    jobs: &[(J, CpuSpeed)],
     grid: &[f64],
     mut column_for: F,
 ) -> BatchEvaluation
 where
+    J: Borrow<JobSnapshot>,
     F: FnMut(&JobSnapshot, CpuSpeed) -> Arc<JobColumn>,
 {
     let mut performances = Vec::with_capacity(jobs.len());
@@ -616,6 +648,7 @@ where
     let omega_g: CpuSpeed = jobs.iter().map(|(_, w)| *w).sum();
 
     for (snapshot, omega) in jobs {
+        let snapshot: &JobSnapshot = snapshot.borrow();
         let remaining = snapshot.remaining_work();
         if snapshot.is_done() {
             // Already done (e.g. the caller races a completion event):
@@ -632,8 +665,7 @@ where
             completions.push((snapshot.app(), finish));
         } else {
             // Still live at the cycle boundary; can be (re)placed there.
-            let survivor = snapshot.advanced(progress, SimDuration::ZERO);
-            survivors.push((survivor.app(), column_for(&survivor, *omega)));
+            survivors.push((snapshot.app(), column_for(snapshot, *omega)));
         }
     }
 
@@ -929,6 +961,50 @@ mod tests {
                 (total - omega).abs() < 1e-6,
                 "shares {total} != omega {omega}"
             );
+        }
+    }
+
+    proptest::proptest! {
+        /// Row sums accumulated column by column are the row-by-row sums
+        /// of `from_columns`, bit for bit, and so are the performances
+        /// read through them. Demands spread over twelve orders of
+        /// magnitude, so any change of addition order would show.
+        #[test]
+        fn column_row_sums_match_from_columns(
+            columns in proptest::collection::vec(
+                proptest::collection::vec((-6i32..6, 0.0..1.0f64, 0.0..1.0f64), 5),
+                0..9,
+            ),
+            omegas in proptest::collection::vec(0.0..3.0f64, 4),
+        ) {
+            let rows = 5;
+            let columns: Vec<(AppId, Arc<JobColumn>)> = columns
+                .iter()
+                .enumerate()
+                .map(|(m, cells)| {
+                    let w = cells.iter().map(|&(exp, x, _)| x * 10f64.powi(exp)).collect();
+                    let v = cells.iter().map(|&(_, _, u)| u).collect();
+                    let col = JobColumn { u_max: Rp::GOAL, w, v };
+                    (AppId::new(m as u32), Arc::new(col))
+                })
+                .collect();
+            let rpf = HypotheticalRpf::from_columns(t(0.0), &columns, rows);
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(
+                bits(&column_row_sums(&columns, rows)),
+                bits(&rpf.row_sums)
+            );
+            let total = rpf.row_sums[rows - 1];
+            for omega in omegas {
+                let omega = mhz(omega * total);
+                let direct = performances_from_columns(&columns, rows, omega);
+                let via_rpf = rpf.performances(omega);
+                proptest::prop_assert_eq!(direct.len(), via_rpf.len());
+                for ((a, u), (b, v)) in direct.iter().zip(&via_rpf) {
+                    proptest::prop_assert_eq!(a, b);
+                    proptest::prop_assert_eq!(u.value().to_bits(), v.value().to_bits());
+                }
+            }
         }
     }
 

@@ -30,6 +30,10 @@
 //!    pays off on *novel* candidates, because a candidate changes only
 //!    a few jobs' allocations while every job's column is needed.
 //!
+//! Beside the memos, the cache derives each placed workload slot's
+//! speed bounds and demand curve once per search (`slot_model`) and the
+//! hypothetical sampling grid once (`grid`); neither is counted.
+//!
 //! Every memo stores the exact `f64`s the from-scratch computation
 //! produced, so a cached score is bit-identical to an oracle
 //! recomputation — the differential suite in
@@ -39,17 +43,18 @@
 //! A cache is only valid for the problem it was populated against;
 //! [`crate::optimizer::place`] builds a fresh one per call.
 
-use std::cell::{Cell, RefCell, RefMut};
+use std::cell::{Cell, OnceCell, RefCell, RefMut};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
-use dynaplace_batch::hypothetical::JobColumn;
+use dynaplace_batch::hypothetical::{default_grid, JobColumn};
 use dynaplace_model::ids::AppId;
 use dynaplace_model::placement::Placement;
 use dynaplace_rpf::value::Rp;
 
 use crate::evaluate::PlacementScore;
+use crate::load::SlotModel;
 
 /// A tiny multiplicative hasher for the memo keys. The keys are short
 /// sequences of machine words with well-mixed low bits (ids and `f64`
@@ -127,6 +132,8 @@ pub struct ScoreCache {
     demands: RefCell<MemoMap<u64, Vec<Option<f64>>>>,
     batch_evals: RefCell<MemoMap<BatchKey, Vec<(AppId, Rp)>>>,
     columns: RefCell<MemoMap<(u32, u64), Arc<JobColumn>>>,
+    slot_models: RefCell<Vec<Option<SlotModel>>>,
+    grid: OnceCell<Vec<f64>>,
     score_hits: Cell<u64>,
     score_misses: Cell<u64>,
     demand_hits: Cell<u64>,
@@ -186,26 +193,51 @@ impl ScoreCache {
                     .or_insert_with(|| vec![None; slots])
                     .as_mut_slice()
             }),
-            hits: &self.demand_hits,
-            misses: &self.demand_misses,
+            hits: 0,
+            misses: 0,
+            cache_hits: &self.demand_hits,
+            cache_misses: &self.demand_misses,
         }
     }
 
-    /// Batch performances for a per-app allocation vector, computing
-    /// and memoizing on miss.
+    /// The candidate-independent model of workload `slot` (of `slots`),
+    /// derived on its first request. Not counted: it is derived once
+    /// per slot, whatever the candidates.
+    pub(crate) fn slot_model(
+        &self,
+        slot: usize,
+        slots: usize,
+        derive: impl FnOnce() -> SlotModel,
+    ) -> SlotModel {
+        let mut models = self.slot_models.borrow_mut();
+        if models.len() < slots {
+            models.resize(slots, None);
+        }
+        *models[slot].get_or_insert_with(derive)
+    }
+
+    /// The [`default_grid`], built on first use.
+    pub(crate) fn grid(&self) -> &[f64] {
+        self.grid.get_or_init(default_grid)
+    }
+
+    /// Appends to `out` the batch performances for a per-app allocation
+    /// vector, computing and memoizing on miss.
     pub(crate) fn batch_eval(
         &self,
         key: BatchKey,
         compute: impl FnOnce() -> Vec<(AppId, Rp)>,
-    ) -> Vec<(AppId, Rp)> {
+        out: &mut Vec<(AppId, Rp)>,
+    ) {
         if let Some(perfs) = self.batch_evals.borrow().get(&key) {
             self.batch_hits.set(self.batch_hits.get() + 1);
-            return perfs.clone();
+            out.extend_from_slice(perfs);
+            return;
         }
         self.batch_misses.set(self.batch_misses.get() + 1);
         let perfs = compute();
-        self.batch_evals.borrow_mut().insert(key, perfs.clone());
-        perfs
+        out.extend_from_slice(&perfs);
+        self.batch_evals.borrow_mut().insert(key, perfs);
     }
 
     /// Hypothetical column of `app`'s survivor snapshot under the
@@ -244,10 +276,14 @@ impl ScoreCache {
 }
 
 /// One level's row of the raw-demand memo (see [`ScoreCache::demand_row`]).
+/// It counts its own hits and misses and adds them to the cache's
+/// counters when dropped.
 pub(crate) struct DemandRow<'c> {
     slots: RefMut<'c, [Option<f64>]>,
-    hits: &'c Cell<u64>,
-    misses: &'c Cell<u64>,
+    hits: u64,
+    misses: u64,
+    cache_hits: &'c Cell<u64>,
+    cache_misses: &'c Cell<u64>,
 }
 
 impl DemandRow<'_> {
@@ -255,13 +291,20 @@ impl DemandRow<'_> {
     /// row's level, computing and memoizing on miss.
     pub(crate) fn get_or_insert_with(&mut self, slot: usize, compute: impl FnOnce() -> f64) -> f64 {
         if let Some(d) = self.slots[slot] {
-            self.hits.set(self.hits.get() + 1);
+            self.hits += 1;
             return d;
         }
-        self.misses.set(self.misses.get() + 1);
+        self.misses += 1;
         let d = compute();
         self.slots[slot] = Some(d);
         d
+    }
+}
+
+impl Drop for DemandRow<'_> {
+    fn drop(&mut self) {
+        self.cache_hits.set(self.cache_hits.get() + self.hits);
+        self.cache_misses.set(self.cache_misses.get() + self.misses);
     }
 }
 
@@ -315,9 +358,11 @@ mod tests {
             (AppId::new(0), Rp::new(0.25)),
             (AppId::new(1), Rp::new(-0.5)),
         ];
-        let got = cache.batch_eval(key.clone(), || out.clone());
+        let mut got = Vec::new();
+        cache.batch_eval(key.clone(), || out.clone(), &mut got);
         assert_eq!(got, out);
-        let again = cache.batch_eval(key, || unreachable!("memoized"));
+        let mut again = Vec::new();
+        cache.batch_eval(key, || unreachable!("memoized"), &mut again);
         assert_eq!(again, out);
     }
 }

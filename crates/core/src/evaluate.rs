@@ -1,9 +1,10 @@
 //! Scoring a candidate placement: load distribution plus the combined
 //! satisfaction vector over transactional and batch applications.
 
+use std::sync::Arc;
+
 use dynaplace_batch::hypothetical::{
-    default_grid, evaluate_batch_placement, evaluate_batch_placement_with_columns, JobColumn,
-    JobSnapshot,
+    evaluate_batch_placement, evaluate_batch_placement_with_columns, JobColumn, JobSnapshot,
 };
 use dynaplace_model::load::LoadDistribution;
 use dynaplace_model::placement::Placement;
@@ -13,7 +14,7 @@ use dynaplace_rpf::satisfaction::SatisfactionVector;
 use dynaplace_rpf::value::Rp;
 
 use crate::cache::ScoreCache;
-use crate::load::distribute_with;
+use crate::load::{distribute_with, Distribution};
 use crate::problem::{PlacementProblem, WorkloadModel};
 
 /// A fully scored candidate placement.
@@ -61,12 +62,12 @@ pub fn score_placement_cached(
     problem: &PlacementProblem<'_>,
     placement: &Placement,
     cache: &ScoreCache,
-) -> Option<std::sync::Arc<PlacementScore>> {
+) -> Option<Arc<PlacementScore>> {
     let key = ScoreCache::placement_key(placement);
     if let Some(score) = cache.lookup_score(&key) {
         return score;
     }
-    let score = score_placement_impl(problem, placement, Some(cache)).map(std::sync::Arc::new);
+    let score = score_placement_impl(problem, placement, Some(cache)).map(Arc::new);
     cache.insert_score(key, score.clone());
     score
 }
@@ -76,29 +77,19 @@ fn score_placement_impl(
     placement: &Placement,
     cache: Option<&ScoreCache>,
 ) -> Option<PlacementScore> {
-    let load = distribute_with(problem, placement, cache)?;
+    let Distribution { load, totals } = distribute_with(problem, placement, cache)?;
 
-    // All per-app totals in one walk over the (app-sorted) distribution:
-    // cells of one app are summed in the same ascending-node order
-    // `LoadDistribution::app_total` uses, so each total is the identical
-    // f64 — this just replaces one range query per application.
-    let mut totals: Vec<(dynaplace_model::ids::AppId, CpuSpeed)> = Vec::new();
-    for (app, _, speed) in load.iter() {
-        match totals.last_mut() {
-            Some((last, sum)) if *last == app => *sum += speed,
-            _ => totals.push((app, speed)),
-        }
-    }
-    let total_of = |app| {
+    // `totals` and `workloads` both ascend by `AppId`, so one merge walk
+    // reads every application's total; an unplaced one gets zero.
+    let mut totals = totals.into_iter().peekable();
+    let mut total_of = |app| {
+        while totals.next_if(|&(a, _)| a < app).is_some() {}
         totals
-            .binary_search_by_key(&app, |&(a, _)| a)
-            .map(|i| totals[i].1)
-            .unwrap_or(CpuSpeed::ZERO)
+            .next_if(|&(a, _)| a == app)
+            .map_or(CpuSpeed::ZERO, |(_, total)| total)
     };
 
     let mut entries: Vec<_> = Vec::with_capacity(problem.live_count());
-    // Borrow the snapshots here; owned pairs are materialized only on the
-    // memo-miss (or uncached) paths that actually evaluate them.
     let mut batch: Vec<(&JobSnapshot, CpuSpeed)> = Vec::new();
     for (&app, model) in &problem.workloads {
         match model {
@@ -111,41 +102,40 @@ fn score_placement_impl(
         }
     }
     if !batch.is_empty() {
-        let performances = match cache {
+        let (now, cycle) = (problem.now, problem.cycle);
+        match cache {
             Some(c) => {
                 let key: Vec<(u32, u64)> = batch
                     .iter()
                     .map(|(snap, alloc)| (snap.app().index() as u32, alloc.as_mhz().to_bits()))
                     .collect();
-                c.batch_eval(key, || {
-                    // Identical allocation vectors short-circuit above;
-                    // novel vectors still reuse every per-job column
-                    // whose own allocation is unchanged.
-                    let grid = default_grid();
-                    let horizon = problem.now + problem.cycle;
-                    let owned: Vec<(JobSnapshot, CpuSpeed)> =
-                        batch.iter().map(|&(s, w)| (s.clone(), w)).collect();
-                    evaluate_batch_placement_with_columns(
-                        problem.now,
-                        problem.cycle,
-                        &owned,
-                        &grid,
-                        |survivor, omega| {
-                            c.job_column(survivor.app(), omega.as_mhz().to_bits(), || {
-                                std::sync::Arc::new(JobColumn::build(horizon, survivor, &grid))
-                            })
-                        },
-                    )
-                    .performances
-                })
+                c.batch_eval(
+                    key,
+                    || {
+                        // Identical allocation vectors short-circuit
+                        // above; novel vectors still reuse every per-job
+                        // column whose own allocation is unchanged.
+                        let grid = c.grid();
+                        evaluate_batch_placement_with_columns(
+                            now,
+                            cycle,
+                            &batch,
+                            grid,
+                            |job, omega| {
+                                c.job_column(job.app(), omega.as_mhz().to_bits(), || {
+                                    Arc::new(JobColumn::after_cycle(now, cycle, job, omega, grid))
+                                })
+                            },
+                        )
+                        .performances
+                    },
+                    &mut entries,
+                );
             }
             None => {
-                let owned: Vec<(JobSnapshot, CpuSpeed)> =
-                    batch.iter().map(|&(s, w)| (s.clone(), w)).collect();
-                evaluate_batch_placement(problem.now, problem.cycle, &owned).performances
+                entries.extend(evaluate_batch_placement(now, cycle, &batch).performances);
             }
-        };
-        entries.extend(performances);
+        }
     }
     Some(PlacementScore {
         load,

@@ -103,6 +103,47 @@ impl PlacedApp<'_> {
     }
 }
 
+/// What the water-filler reads of one workload slot, whatever the
+/// candidate placement: the slot's per-instance speed bounds and, for a
+/// batch job, its demand curve as placed. Within one problem this is a
+/// pure function of the slot, so a [`ScoreCache`] derives it once per
+/// search, on the slot's first placement.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SlotModel {
+    /// Per-instance minimum speed (MHz).
+    min: f64,
+    /// Per-instance maximum speed (MHz).
+    max: f64,
+    /// The batch job's demand curve, taken from its snapshot *as
+    /// placed*; `None` for a transactional application.
+    curve: Option<DemandCurve>,
+}
+
+impl SlotModel {
+    fn of(problem: &PlacementProblem<'_>, app: AppId, model: &WorkloadModel) -> Self {
+        // Same bounds `try_effective_speed_bounds` computes, from the model
+        // reference already in hand.
+        match model {
+            WorkloadModel::Batch(snap) => Self {
+                min: snap.min_speed().as_mhz(),
+                max: snap.max_speed().as_mhz(),
+                curve: Some(
+                    snap.advanced(Work::ZERO, SimDuration::ZERO)
+                        .demand_curve(problem.now),
+                ),
+            },
+            WorkloadModel::Transactional(_) => {
+                let spec = problem.apps.get(app).expect("live app is registered");
+                Self {
+                    min: 0.0,
+                    max: spec.max_instance_speed().as_mhz(),
+                    curve: None,
+                }
+            }
+        }
+    }
+}
+
 /// Computes the max-min fair load distribution for `placement`.
 ///
 /// Returns `None` when the placement is infeasible: the minimum speeds of
@@ -113,46 +154,57 @@ pub fn distribute(
     problem: &PlacementProblem<'_>,
     placement: &Placement,
 ) -> Option<LoadDistribution> {
-    distribute_with(problem, placement, None)
+    distribute_with(problem, placement, None).map(|d| d.load)
 }
 
-/// [`distribute`] with an optional raw-demand memo. Passing a cache
-/// changes nothing about the result — the memo stores the exact values
-/// the direct computation produces (see [`crate::cache`]); `distribute`
+/// A load distribution with each application's total, as
+/// [`LoadDistribution::app_total`] sums it.
+pub(crate) struct Distribution {
+    pub load: LoadDistribution,
+    /// `(app, Σ of its cells)` for every application with a non-zero
+    /// cell, ascending `AppId`.
+    pub totals: Vec<(AppId, CpuSpeed)>,
+}
+
+/// [`distribute`] with an optional memo. Passing a cache changes
+/// nothing about the result — the memo stores the exact values the
+/// direct computation produces (see [`crate::cache`]); `distribute`
 /// itself stays the from-scratch oracle.
 pub(crate) fn distribute_with(
     problem: &PlacementProblem<'_>,
     placement: &Placement,
     cache: Option<&ScoreCache>,
-) -> Option<LoadDistribution> {
-    let mut apps: Vec<PlacedApp<'_>> = Vec::new();
-    let mut routes: Vec<Route> = Vec::new();
-    let mut hosts: Vec<NodeId> = Vec::new();
+) -> Option<Distribution> {
+    let slots = problem.workloads.len();
+    let mut apps: Vec<PlacedApp<'_>> = Vec::with_capacity(slots.min(placement.len()));
+    let mut routes = Routes {
+        routes: Vec::with_capacity(apps.capacity()),
+        cells: Vec::with_capacity(placement.len()),
+    };
+    let mut hosts: Vec<NodeId> = Vec::with_capacity(placement.len());
     // Both `workloads` and the placement's cells iterate in ascending
     // `AppId` order (cells additionally node-ascending within an app —
     // the order `instances_of` yields), so one merge-join pass replaces a
     // per-application range query.
     let mut cell_iter = placement.iter().peekable();
     for (slot, (&app, model)) in problem.workloads.iter().enumerate() {
-        // Same bounds `try_effective_speed_bounds` computes, from the model
-        // reference already in hand.
-        let (min, max) = match model {
-            WorkloadModel::Batch(snap) => (snap.min_speed(), snap.max_speed()),
-            WorkloadModel::Transactional(_) => {
-                let spec = problem.apps.get(app).expect("live app is registered");
-                (CpuSpeed::ZERO, spec.max_instance_speed())
-            }
+        while cell_iter.peek().is_some_and(|&(a, _, _)| a < app) {
+            cell_iter.next();
+        }
+        if !cell_iter.peek().is_some_and(|&(a, _, _)| a == app) {
+            continue;
+        }
+        let slot_model = match cache {
+            Some(c) => c.slot_model(slot, slots, || SlotModel::of(problem, app, model)),
+            None => SlotModel::of(problem, app, model),
         };
         // An instance can never consume more than its node's capacity, so
         // per-node routing cells are capped by the node CPU: this keeps
         // demand clamps finite for applications with unbounded instance
         // speeds (an overloaded app sheds, it does not demand the moon).
-        while cell_iter.peek().is_some_and(|&(a, _, _)| a < app) {
-            cell_iter.next();
-        }
+        let start = routes.cells.len();
         let mut counted: u32 = 0;
         // Cells hold the node index until the host list is complete.
-        let mut cells: Vec<(usize, f64)> = Vec::new();
         while let Some(&(a, node, count)) = cell_iter.peek() {
             if a != app {
                 break;
@@ -165,41 +217,29 @@ pub(crate) fn distribute_with(
                 .cpu_capacity()
                 .as_mhz();
             counted += count;
-            cells.push((
+            routes.cells.push((
                 node.index(),
-                (max.as_mhz() * f64::from(count)).min(node_cap),
+                (slot_model.max * f64::from(count)).min(node_cap),
             ));
             hosts.push(node);
         }
-        if cells.is_empty() {
-            continue;
-        }
-        let cap_total = cells.iter().map(|(_, c)| c).sum();
-        let demand = match model {
-            WorkloadModel::Batch(snap) => Demand::Batch(
-                snap.advanced(Work::ZERO, SimDuration::ZERO)
-                    .demand_curve(problem.now),
-            ),
-            WorkloadModel::Transactional(m) => Demand::Transactional(m),
+        let demand = match (model, slot_model.curve) {
+            (WorkloadModel::Batch(_), Some(curve)) => Demand::Batch(curve),
+            (WorkloadModel::Transactional(m), _) => Demand::Transactional(m),
+            (WorkloadModel::Batch(_), None) => unreachable!("batch slots carry a curve"),
         };
         apps.push(PlacedApp {
             app,
             slot,
             demand,
-            min_total: min.as_mhz() * f64::from(counted),
+            min_total: slot_model.min * f64::from(counted),
             fixed: None,
         });
-        routes.push(Route { cells, cap_total });
+        routes.push(start);
     }
     hosts.sort_unstable();
     hosts.dedup();
-    for route in &mut routes {
-        for cell in &mut route.cells {
-            cell.0 = hosts
-                .binary_search_by_key(&cell.0, |node| node.index())
-                .expect("every cell's node is a host");
-        }
-    }
+    routes.index_hosts(&hosts);
     let capacities: Vec<f64> = hosts
         .iter()
         .map(|&node| {
@@ -215,7 +255,6 @@ pub(crate) fn distribute_with(
 
     // Demand vector at level `u`, written into `out`: fixed apps keep
     // their allocation. One memo row serves the whole level.
-    let slots = problem.workloads.len();
     let demand_row = |u: f64| cache.map(|c| c.demand_row(u.to_bits(), slots));
     let effective = |apps: &[PlacedApp<'_>], routes: &[Route], u: f64, out: &mut Vec<f64>| {
         out.clear();
@@ -240,7 +279,7 @@ pub(crate) fn distribute_with(
         // midpoint sequence — and every healthy run's bits — are
         // unchanged).
         let healthy = bisect_max(RP_FLOOR, 1.0, U_TOL, |u| {
-            effective(&apps, &router.routes, u, &mut demands);
+            effective(&apps, &router.routes.routes, u, &mut demands);
             router.routable(&demands)
         });
         let result = match healthy {
@@ -257,13 +296,13 @@ pub(crate) fn distribute_with(
                     return None;
                 }
                 bisect_max(RP_MIN, RP_FLOOR, U_TOL, |u| {
-                    effective(&apps, &router.routes, u, &mut demands);
+                    effective(&apps, &router.routes.routes, u, &mut demands);
                     router.routable(&demands)
                 })?
             }
         };
         let u_star = result.accepted;
-        effective(&apps, &router.routes, u_star, &mut demands);
+        effective(&apps, &router.routes.routes, u_star, &mut demands);
         let base = &mut demands;
 
         if result.rejected.is_none() {
@@ -285,11 +324,12 @@ pub(crate) fn distribute_with(
         let mut newly_fixed = Vec::new();
         let u_probe = (u_star + PROBE_DU).min(1.0);
         let mut row = demand_row(u_probe);
+        router.new_base();
         for i in 0..apps.len() {
             if apps[i].fixed.is_some() {
                 continue;
             }
-            let probe = apps[i].demand_at(u_probe, &router.routes[i], row.as_mut());
+            let probe = apps[i].demand_at(u_probe, &router.routes.routes[i], row.as_mut());
             let saturated = probe <= base[i] + FEAS_EPS;
             let blocked = saturated || !router.fits_raised(base, i, probe);
             if blocked {
@@ -312,9 +352,9 @@ pub(crate) fn distribute_with(
         }
     }
 
-    let mut load = router.extract(&apps)?;
-    residual_fill(&apps, &mut router, &mut load, demand_row(Rp::MAX.value()));
-    Some(load)
+    let mut alloc = router.extract(&apps)?;
+    residual_fill(&apps, &mut router, &mut alloc, demand_row(Rp::MAX.value()));
+    Some(router.distribution(&apps, &alloc))
 }
 
 /// Hands leftover node capacity to applications that can still absorb it
@@ -324,32 +364,34 @@ pub(crate) fn distribute_with(
 /// nothing — still consume the capacity nobody else wants: best-effort
 /// service instead of idle CPUs.
 ///
-/// `row` is the demand memo's row at `Rp::MAX`, when memoizing.
+/// `alloc` holds one allocation per routing cell (see
+/// [`Router::extract`]); `row` is the demand memo's row at `Rp::MAX`,
+/// when memoizing.
 fn residual_fill(
     apps: &[PlacedApp<'_>],
     router: &mut Router,
-    load: &mut LoadDistribution,
+    alloc: &mut [f64],
     mut row: Option<DemandRow<'_>>,
 ) {
     let Router {
         routes,
-        hosts,
         capacities,
         residual,
         ..
     } = router;
+    // Charged in (app, node) order, the order a `LoadDistribution`
+    // iterates its cells in; an empty cell charges nothing.
     residual.copy_from_slice(capacities);
-    for (_, node, speed) in load.iter() {
-        let host = hosts
-            .binary_search(&node)
-            .expect("load is only routed onto hosts");
-        residual[host] -= speed.as_mhz();
+    for (&(host, _), &a) in routes.cells.iter().zip(alloc.iter()) {
+        if a > 0.0 {
+            residual[host] -= a;
+        }
     }
     // Batch appetite is the raw demand at Rp::MAX — the same function
     // the water-filler memoizes (Rp::new clamps, so Rp::new(MAX) ==
     // MAX); the transactional arm is a different function, kept
     // uncached.
-    for (pa, route) in apps.iter().zip(routes.iter()) {
+    for (i, (pa, route)) in apps.iter().zip(&routes.routes).enumerate() {
         let appetite_total = match (pa.demand, row.as_mut()) {
             (Demand::Transactional(m), _) => m.max_useful_demand().as_mhz(),
             (Demand::Batch(curve), None) => curve.at(Rp::MAX).as_mhz(),
@@ -358,20 +400,21 @@ fn residual_fill(
             }
         }
         .min(route.cap_total);
-        let mut appetite = appetite_total - load.app_total(pa.app).as_mhz();
+        let range = routes.range(i);
+        let placed: f64 = alloc[range.clone()].iter().filter(|&&a| a > 0.0).sum();
+        let mut appetite = appetite_total - placed;
         if appetite <= FEAS_EPS {
             continue;
         }
-        for &(host, cell_cap) in &route.cells {
+        for (&(host, cell_cap), a) in routes.cells[range.clone()].iter().zip(&mut alloc[range]) {
             if appetite <= FEAS_EPS {
                 break;
             }
-            let node = hosts[host];
             let r = &mut residual[host];
-            let current = load.get(pa.app, node).as_mhz();
+            let current = *a;
             let take = appetite.min(cell_cap - current).min((*r).max(0.0));
             if take > FEAS_EPS {
-                load.set(pa.app, node, CpuSpeed::from_mhz(current + take));
+                *a = current + take;
                 *r -= take;
                 appetite -= take;
             }
@@ -379,23 +422,67 @@ fn residual_fill(
     }
 }
 
-/// Where one placed application's CPU can go.
-#[derive(Debug, Clone)]
+/// Where one placed application's CPU can go: its cells are
+/// `Routes::cells[start..end]`.
+#[derive(Debug, Clone, Copy)]
 struct Route {
-    /// Per-host routing capacity, `(host index, count ×
-    /// max_instance_speed capped by the node CPU)`, host-ascending.
-    cells: Vec<(usize, f64)>,
-    /// Σ of `cells` capacities.
+    start: usize,
+    end: usize,
+    /// Σ of the cells' capacities.
     cap_total: f64,
+    /// The host of a single-cell route; set by [`Routes::index_hosts`].
+    single_host: Option<usize>,
 }
 
-impl Route {
-    fn single_host(&self) -> Option<usize> {
-        if self.cells.len() == 1 {
-            Some(self.cells[0].0)
-        } else {
-            None
+/// Every placed application's route, with the routing cells of all of
+/// them in one vector, route after route.
+#[derive(Debug, Default)]
+struct Routes {
+    routes: Vec<Route>,
+    /// `(host index, count × max_instance_speed capped by the node
+    /// CPU)`, host-ascending within each route.
+    cells: Vec<(usize, f64)>,
+}
+
+impl Routes {
+    /// Closes a route over the cells pushed since `start`.
+    fn push(&mut self, start: usize) {
+        let cap_total = self.cells[start..].iter().map(|(_, c)| c).sum();
+        self.routes.push(Route {
+            start,
+            end: self.cells.len(),
+            cap_total,
+            single_host: None,
+        });
+    }
+
+    /// Points every cell at its host's index in `hosts` (ascending),
+    /// where it held the node's index.
+    fn index_hosts(&mut self, hosts: &[NodeId]) {
+        for cell in &mut self.cells {
+            cell.0 = hosts
+                .binary_search_by_key(&cell.0, |node| node.index())
+                .expect("every cell's node is a host");
         }
+        for route in &mut self.routes {
+            route.single_host = (route.end - route.start == 1).then(|| self.cells[route.start].0);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.routes.len()
+    }
+
+    fn range(&self, i: usize) -> std::ops::Range<usize> {
+        self.routes[i].start..self.routes[i].end
+    }
+
+    fn cells(&self, i: usize) -> &[(usize, f64)] {
+        &self.cells[self.range(i)]
+    }
+
+    fn single_host(&self, i: usize) -> Option<usize> {
+        self.routes[i].single_host
     }
 }
 
@@ -406,7 +493,7 @@ impl Route {
 /// (then it builds the max-flow network over the hosts).
 #[derive(Debug)]
 struct Router {
-    routes: Vec<Route>,
+    routes: Routes,
     /// The hosts, ascending; a cell's host index points here.
     hosts: Vec<NodeId>,
     /// CPU capacity per host.
@@ -415,22 +502,74 @@ struct Router {
     residual: Vec<f64>,
     /// Scratch: `(route index, demand)` of the multi-node applications.
     multi: Vec<(usize, f64)>,
-    /// Whether every route has a single host, which keeps a raised
-    /// probe node-local (see [`Router::fits_raised`]).
+    /// Whether every route has a single host, so that a raised probe
+    /// needs no multi-node routing (see [`Router::fits_raised`]).
     all_single: bool,
-    /// Route indices on each host, in route order; built by the first
-    /// node-local probe.
+    /// Single-host route indices on each host, in route order; built by
+    /// the first node-local probe.
     by_host: Option<Vec<Vec<usize>>>,
+    /// The current probe base with every single-host route charged
+    /// (see [`BaseCharge`]). Built by the first probe of a base that
+    /// needs it; [`Router::new_base`] drops it.
+    base_charge: Option<BaseCharge>,
+}
+
+/// A routable demand vector `base` with its single-host routes charged,
+/// which every raised probe of a single-host application shares.
+#[derive(Debug)]
+struct BaseCharge {
+    /// Per-host residual after the single-host routes, charged in route
+    /// order as [`Router::routable`] charges them.
+    residual: Vec<f64>,
+    /// The multi-node routes' `(route index, demand)`, in route order.
+    multi: Vec<(usize, f64)>,
+    /// With exactly one multi-node route: its greedy's remaining need
+    /// before each cell it reads for `base`, up to the cell where it has
+    /// routed everything.
+    greedy_need: Vec<f64>,
+}
+
+impl BaseCharge {
+    fn new(routes: &Routes, capacities: &[f64], base: &[f64]) -> Self {
+        let mut residual = capacities.to_vec();
+        let mut multi = Vec::new();
+        for (j, &demand) in base.iter().enumerate() {
+            match routes.single_host(j) {
+                Some(h) => residual[h] -= demand,
+                None => multi.push((j, demand)),
+            }
+        }
+        // The greedy of `route_multi`, recording its state. Each host
+        // appears once in a route, so the residual it reads at a cell is
+        // the charged one.
+        let mut greedy_need = Vec::new();
+        if let [(i, demand)] = multi[..] {
+            let mut need = demand;
+            for &(host, cap) in routes.cells(i) {
+                greedy_need.push(need);
+                need -= need.min(cap).min(residual[host].max(0.0));
+                if need <= FEAS_EPS {
+                    break;
+                }
+            }
+        }
+        Self {
+            residual,
+            multi,
+            greedy_need,
+        }
+    }
 }
 
 impl Router {
-    fn new(routes: Vec<Route>, hosts: Vec<NodeId>, capacities: Vec<f64>) -> Self {
-        let all_single = routes.iter().all(|r| r.cells.len() == 1);
+    fn new(routes: Routes, hosts: Vec<NodeId>, capacities: Vec<f64>) -> Self {
+        let all_single = (0..routes.len()).all(|i| routes.single_host(i).is_some());
         Self {
             residual: vec![0.0; capacities.len()],
             multi: Vec::new(),
             all_single,
             by_host: None,
+            base_charge: None,
             routes,
             hosts,
             capacities,
@@ -443,11 +582,11 @@ impl Router {
     fn routable(&mut self, demands: &[f64]) -> bool {
         self.residual.copy_from_slice(&self.capacities);
         self.multi.clear();
-        for (i, (route, &demand)) in self.routes.iter().zip(demands).enumerate() {
+        for (i, (route, &demand)) in self.routes.routes.iter().zip(demands).enumerate() {
             if demand > route.cap_total + FEAS_EPS {
                 return false;
             }
-            match route.single_host() {
+            match route.single_host {
                 Some(host) => {
                     let r = &mut self.residual[host];
                     *r -= demand;
@@ -461,35 +600,44 @@ impl Router {
         route_multi(&self.routes, &self.multi, &mut self.residual)
     }
 
+    /// Announces that the next [`Router::fits_raised`] calls probe a new
+    /// base vector.
+    fn new_base(&mut self) {
+        self.base_charge = None;
+    }
+
     /// Whether `base` — a demand vector known to be routable — stays
     /// routable with entry `i` raised to `probe`.
     ///
-    /// When every application is single-node, raising `i` changes only
-    /// the sums on `i`'s node: every other node sees the same
-    /// subtractions that already passed for `base`. So the verdict is
-    /// `i`'s own cap check plus a replay of that node's subtractions, in
-    /// application order, exactly as [`Router::routable`] performs them.
-    /// Otherwise the whole patched vector goes through `routable`;
-    /// `base` is restored before returning.
+    /// When `i` is single-host, raising it changes only the sums on
+    /// `i`'s node: every other node sees the same subtractions that
+    /// already passed for `base`. So the single-host part of the verdict
+    /// is `i`'s own cap check plus a replay of that node's subtractions,
+    /// in application order, exactly as [`Router::routable`] performs
+    /// them. If some application spans nodes, they are then routed once
+    /// over `base`'s single-host residual with that node's value
+    /// replaced — the residual `routable` would reach. A probed
+    /// application that spans nodes sends the whole patched vector
+    /// through `routable`; `base` is restored before returning.
     fn fits_raised(&mut self, base: &mut [f64], i: usize, probe: f64) -> bool {
-        if !self.all_single {
+        let Some(host) = self.routes.single_host(i) else {
             let kept = base[i];
             base[i] = probe;
             let fits = self.routable(base);
             base[i] = kept;
             return fits;
-        }
-        let route = &self.routes[i];
-        if probe > route.cap_total + FEAS_EPS {
+        };
+        if probe > self.routes.routes[i].cap_total + FEAS_EPS {
             return false;
         }
-        let host = route.cells[0].0;
         let routes = &self.routes;
         let hosts = self.hosts.len();
         let by_host = self.by_host.get_or_insert_with(|| {
             let mut by_host = vec![Vec::new(); hosts];
-            for (j, route) in routes.iter().enumerate() {
-                by_host[route.cells[0].0].push(j);
+            for j in 0..routes.len() {
+                if let Some(h) = routes.single_host(j) {
+                    by_host[h].push(j);
+                }
             }
             by_host
         });
@@ -500,31 +648,59 @@ impl Router {
                 return false;
             }
         }
-        true
+        if self.all_single {
+            return true;
+        }
+        let capacities = &self.capacities;
+        let charge = self
+            .base_charge
+            .get_or_insert_with(|| BaseCharge::new(routes, capacities, base));
+        if let [(m, _)] = charge.multi[..] {
+            // One multi-node route: its greedy reads the same values as
+            // for `base` up to `host`'s cell. If it routed everything
+            // before reaching that cell, the verdict is `base`'s: true.
+            let cells = routes.cells(m);
+            let read = &cells[..charge.greedy_need.len()];
+            let Ok(q) = read.binary_search_by_key(&host, |&(h, _)| h) else {
+                return true;
+            };
+            let mut need = charge.greedy_need[q];
+            for (c, &(h, cap)) in cells.iter().enumerate().skip(q) {
+                let residual = if c == q { r } else { charge.residual[h] };
+                need -= need.min(cap).min(residual.max(0.0));
+                if need <= FEAS_EPS {
+                    return true;
+                }
+            }
+            return false;
+        }
+        self.residual.copy_from_slice(&charge.residual);
+        self.residual[host] = r;
+        route_multi(&self.routes, &charge.multi, &mut self.residual)
     }
 
-    /// Turns final per-app allocations into a per-cell
-    /// [`LoadDistribution`].
-    fn extract(&mut self, apps: &[PlacedApp<'_>]) -> Option<LoadDistribution> {
+    /// Turns final per-app allocations into one allocation per routing
+    /// cell (`0.0` where a cell gets nothing).
+    fn extract(&mut self, apps: &[PlacedApp<'_>]) -> Option<Vec<f64>> {
         let residual = &mut self.residual;
         residual.copy_from_slice(&self.capacities);
-        let mut load = LoadDistribution::new();
+        let mut alloc = vec![0.0; self.routes.cells.len()];
 
         // Single-node apps first (their placement is forced).
         let mut multi: Vec<(usize, f64)> = Vec::new();
-        for (i, (pa, route)) in apps.iter().zip(&self.routes).enumerate() {
+        for (i, pa) in apps.iter().enumerate() {
             let total = pa.fixed.unwrap_or(0.0);
             if total <= 0.0 {
                 continue;
             }
-            match route.single_host() {
+            match self.routes.single_host(i) {
                 Some(host) => {
                     let r = &mut residual[host];
                     *r -= total;
                     if *r < -1e-3 {
                         return None; // should not happen: demands were feasible
                     }
-                    load.set(pa.app, self.hosts[host], CpuSpeed::from_mhz(total));
+                    alloc[self.routes.routes[i].start] = total;
                 }
                 None => multi.push((i, total)),
             }
@@ -535,13 +711,13 @@ impl Router {
             1 => {
                 let (i, demand) = multi[0];
                 let mut need = demand;
-                for &(host, cap) in &self.routes[i].cells {
+                for (c, &(host, cap)) in self.routes.range(i).zip(self.routes.cells(i)) {
                     let r = &mut residual[host];
                     let take = need.min(cap).min((*r).max(0.0));
                     if take > 0.0 {
                         *r -= take;
                         need -= take;
-                        load.set(apps[i].app, self.hosts[host], CpuSpeed::from_mhz(take));
+                        alloc[c] = take;
                     }
                     if need <= FEAS_EPS {
                         break;
@@ -554,25 +730,55 @@ impl Router {
             _ => {
                 let mut handles = Vec::new();
                 let (mut net, total_demand, t) =
-                    flow_network(&self.routes, &multi, residual, |i, host, h| {
-                        handles.push((i, host, h));
-                    });
+                    flow_network(&self.routes, &multi, residual, |c, h| handles.push((c, h)));
                 if net.max_flow(0, t) < total_demand - 1e-3 {
                     return None;
                 }
-                for (i, host, h) in handles {
+                for (c, h) in handles {
                     let f = net.flow_on(h);
                     if f > FEAS_EPS {
-                        load.set(apps[i].app, self.hosts[host], CpuSpeed::from_mhz(f));
+                        alloc[c] = f;
                     }
                 }
             }
         }
-        Some(load)
+        Some(alloc)
+    }
+
+    /// The [`Distribution`] of per-cell allocations `alloc`: every
+    /// non-zero cell, and each application's total summed over its
+    /// cells in node order.
+    fn distribution(&self, apps: &[PlacedApp<'_>], alloc: &[f64]) -> Distribution {
+        let mut totals = Vec::with_capacity(apps.len());
+        for (i, pa) in apps.iter().enumerate() {
+            let mut total: Option<f64> = None;
+            for &a in &alloc[self.routes.range(i)] {
+                if a > 0.0 {
+                    total = Some(total.map_or(a, |t| t + a));
+                }
+            }
+            if let Some(total) = total {
+                totals.push((pa.app, CpuSpeed::from_mhz(total)));
+            }
+        }
+        // Routes ascend by `AppId` and each route's cells by node, so the
+        // cells come out in the map's own order.
+        let load = apps
+            .iter()
+            .enumerate()
+            .flat_map(|(i, pa)| {
+                self.routes
+                    .cells(i)
+                    .iter()
+                    .zip(&alloc[self.routes.range(i)])
+                    .map(move |(&(host, _), &a)| (pa.app, self.hosts[host], CpuSpeed::from_mhz(a)))
+            })
+            .collect();
+        Distribution { load, totals }
     }
 }
 
-fn route_multi(routes: &[Route], multi: &[(usize, f64)], residual: &mut [f64]) -> bool {
+fn route_multi(routes: &Routes, multi: &[(usize, f64)], residual: &mut [f64]) -> bool {
     if multi.is_empty() {
         return true;
     }
@@ -580,7 +786,7 @@ fn route_multi(routes: &[Route], multi: &[(usize, f64)], residual: &mut [f64]) -
         // Greedy suffices for a single multi-node application.
         let (i, demand) = multi[0];
         let mut need = demand;
-        for &(host, cap) in &routes[i].cells {
+        for &(host, cap) in routes.cells(i) {
             let r = &mut residual[host];
             let take = need.min(cap).min((*r).max(0.0));
             *r -= take;
@@ -592,7 +798,7 @@ fn route_multi(routes: &[Route], multi: &[(usize, f64)], residual: &mut [f64]) -
         return need <= FEAS_EPS;
     }
     // General case: bipartite max-flow.
-    let (mut net, total_demand, t) = flow_network(routes, multi, residual, |_, _, _| {});
+    let (mut net, total_demand, t) = flow_network(routes, multi, residual, |_, _| {});
     net.max_flow(0, t) >= total_demand - FEAS_EPS * (1.0 + multi.len() as f64)
 }
 
@@ -600,14 +806,14 @@ fn route_multi(routes: &[Route], multi: &[(usize, f64)], residual: &mut [f64]) -
 /// `multi` (`(route index, demand)`): source 0, vertex `1 + k` for the
 /// `k`-th of them, then one vertex per host, then the sink. Edges go in
 /// application by application (source edge, then one per cell, reported
-/// to `on_cell` as `(route index, host index, handle)`), then host to
+/// to `on_cell` as `(index into Routes::cells, handle)`), then host to
 /// sink with the host's residual capacity. Returns the network, the
 /// total demand and the sink.
 fn flow_network(
-    routes: &[Route],
+    routes: &Routes,
     multi: &[(usize, f64)],
     residual: &[f64],
-    mut on_cell: impl FnMut(usize, usize, EdgeHandle),
+    mut on_cell: impl FnMut(usize, EdgeHandle),
 ) -> (FlowNetwork, f64, usize) {
     let host_base = 1 + multi.len();
     let t = host_base + residual.len();
@@ -616,8 +822,8 @@ fn flow_network(
     for (k, &(i, demand)) in multi.iter().enumerate() {
         net.add_edge(0, 1 + k, demand);
         total_demand += demand;
-        for &(host, cap) in &routes[i].cells {
-            on_cell(i, host, net.add_edge(1 + k, host_base + host, cap));
+        for (c, &(host, cap)) in routes.range(i).zip(routes.cells(i)) {
+            on_cell(c, net.add_edge(1 + k, host_base + host, cap));
         }
     }
     for (host, r) in residual.iter().enumerate() {
@@ -1106,19 +1312,29 @@ mod tests {
             .unwrap();
     }
 
-    /// A router over hosts `0..capacities.len()`.
-    fn router(capacities: &[f64], routes: Vec<Route>) -> Router {
-        let hosts = (0..capacities.len() as u32).map(NodeId::new).collect();
-        Router::new(routes, hosts, capacities.to_vec())
+    /// A router over hosts `0..capacities.len()`, one route per cell
+    /// list.
+    fn router(capacities: &[f64], routes: &[Vec<(usize, f64)>]) -> Router {
+        let hosts: Vec<NodeId> = (0..capacities.len() as u32).map(NodeId::new).collect();
+        let mut all = Routes::default();
+        for cells in routes {
+            let start = all.cells.len();
+            all.cells.extend_from_slice(cells);
+            all.push(start);
+        }
+        all.index_hosts(&hosts);
+        Router::new(all, hosts, capacities.to_vec())
     }
 
     proptest! {
-        /// With every application on one node, a raised probe replayed on
-        /// the probed app's node alone gives the same verdict as routing
-        /// the whole patched vector, and leaves `base` as it was. Probes
-        /// land at random, exactly on the node's slack, just inside, on
-        /// and just outside the feasibility slack, and past the app's
-        /// cap. Zero-capacity (failed) nodes make the boundary exact.
+        /// A raised probe gives the same verdict as routing the whole
+        /// patched vector, and leaves `base` as it was — with every
+        /// application on one node (the node-local replay), with one
+        /// application spanning nodes (the replayed greedy) and with two
+        /// or more (the max-flow). Probes land at random, exactly on the
+        /// probed node's single-host slack, just inside, on and just
+        /// outside the feasibility slack, and past the app's cap.
+        /// Zero-capacity (failed) nodes make the boundary exact.
         #[test]
         fn node_local_probe_matches_full_routability(
             capacities in proptest::collection::vec(
@@ -1126,82 +1342,92 @@ mod tests {
                 1..6,
             ),
             apps in proptest::collection::vec(
-                (0usize..6, 10.0..1_500.0f64, 0.0..1.0f64, 0u8..6, 0.0..2.0f64),
+                (
+                    0usize..6,
+                    10.0..1_500.0f64,
+                    0.0..1.0f64,
+                    0u8..6,
+                    0.0..2.0f64,
+                    0u8..4,
+                    1u8..64,
+                ),
                 1..12,
             ),
         ) {
             let hosts = capacities.len();
-            let routes: Vec<Route> = apps
+            // One app in four spans its pick plus the hosts in its mask,
+            // ascending, each cell with the app's per-cell cap.
+            let routes: Vec<Vec<(usize, f64)>> = apps
                 .iter()
-                .map(|&(pick, cap, ..)| Route { cells: vec![(pick % hosts, cap)], cap_total: cap })
+                .map(|&(pick, cap, _, _, _, spans, mask)| {
+                    let mask = if spans == 0 { u32::from(mask) } else { 0 } | 1 << (pick % hosts);
+                    (0..hosts)
+                        .filter(|h| mask & 1 << h != 0)
+                        .map(|h| (h, cap))
+                        .collect()
+                })
                 .collect();
-            // A routable base: each app asks a share of its cap, scaled
-            // down on any node it would overfill.
-            let mut base: Vec<f64> = apps
+            let mut router = router(&capacities, &routes);
+            // A routable base: each app asks a share of its cap, halved
+            // until everything routes.
+            let shares: Vec<f64> = apps
                 .iter()
-                .map(|&(_, cap, share, ..)| cap * share)
+                .zip(&routes)
+                .map(|(&(_, cap, share, ..), cells)| cap * cells.len() as f64 * share)
                 .collect();
-            let mut load = vec![0.0; hosts];
-            for (route, d) in routes.iter().zip(&base) {
-                load[route.cells[0].0] += d;
-            }
-            for (route, d) in routes.iter().zip(base.iter_mut()) {
-                let h = route.cells[0].0;
-                if load[h] > capacities[h] {
-                    *d *= 0.999 * capacities[h] / load[h];
+            let mut base = shares.clone();
+            for halvings in 0..12 {
+                let scale = 0.5f64.powi(halvings);
+                base = shares.iter().map(|d| d * scale).collect();
+                if router.routable(&base) {
+                    break;
                 }
             }
-            let mut router = router(&capacities, routes);
             prop_assume!(router.routable(&base));
+            router.new_base();
             let kept = base.clone();
-            for (i, &(_, cap, _, kind, factor)) in apps.iter().enumerate() {
-                let h = router.routes[i].cells[0].0;
-                let others: f64 = (0..apps.len())
-                    .filter(|&j| j != i && router.routes[j].cells[0].0 == h)
-                    .map(|j| base[j])
-                    .sum();
-                let slack = capacities[h] - others;
-                let probe = match kind {
-                    0 => base[i] + factor * cap,
-                    1 => slack,
-                    2 => slack + 0.5 * FEAS_EPS,
-                    3 => slack + FEAS_EPS,
-                    4 => slack + 2.0 * FEAS_EPS,
-                    _ => cap + factor * FEAS_EPS,
+            for (i, &(_, cap, _, kind, factor, ..)) in apps.iter().enumerate() {
+                let probe = match router.routes.single_host(i) {
+                    Some(h) => {
+                        let others: f64 = (0..apps.len())
+                            .filter(|&j| j != i && router.routes.single_host(j) == Some(h))
+                            .map(|j| base[j])
+                            .sum();
+                        let slack = capacities[h] - others;
+                        match kind {
+                            0 => base[i] + factor * cap,
+                            1 => slack,
+                            2 => slack + 0.5 * FEAS_EPS,
+                            3 => slack + FEAS_EPS,
+                            4 => slack + 2.0 * FEAS_EPS,
+                            _ => cap + factor * FEAS_EPS,
+                        }
+                    }
+                    None => base[i] + factor * cap,
                 };
                 let mut patched = base.clone();
                 patched[i] = probe;
                 let full = router.routable(&patched);
-                prop_assert_eq!(router.fits_raised(&mut base, i, probe), full);
+                prop_assert_eq!(router.fits_raised(&mut base, i, probe), full, "app {}", i);
                 prop_assert_eq!(&base, &kept);
             }
         }
     }
 
-    /// With an application spanning two nodes, a raised probe must go
-    /// through the full routing: replaying the probed app's node alone
-    /// would miss that the multi-node app loses its share there.
+    /// With an application spanning two nodes, a raised probe must see
+    /// that the multi-node app loses its share on the probed node.
     #[test]
     fn raised_probe_with_a_multi_node_app_routes_everything() {
-        let single = Route {
-            cells: vec![(0, 1_000.0)],
-            cap_total: 1_000.0,
-        };
-        let spanning = Route {
-            cells: vec![(0, 1_000.0), (1, 500.0)],
-            cap_total: 1_500.0,
-        };
-        let mut router = router(&[1_000.0, 1_000.0], vec![single, spanning]);
+        let single = vec![(0, 1_000.0)];
+        let spanning = vec![(0, 1_000.0), (1, 500.0)];
+        let mut router = router(&[1_000.0, 1_000.0], &[single, spanning]);
         let mut base = vec![400.0, 1_000.0];
         assert!(router.routable(&base));
+        router.new_base();
         // Node 0 alone still fits 550 MHz for the single-node app, but
         // the spanning app can then reach only 450 + 500 < 1,000 MHz.
         assert!(!router.fits_raised(&mut base, 0, 550.0));
         assert!(router.fits_raised(&mut base, 0, 500.0));
-        assert!(
-            router.by_host.is_none(),
-            "must not take the node-local path"
-        );
         assert_eq!(base, vec![400.0, 1_000.0]);
     }
 }

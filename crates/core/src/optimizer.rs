@@ -363,11 +363,16 @@ impl PlacementOutcome {
     /// The number of *disruptive* actions (stops and migrations) — the
     /// quantity the paper's Fig. 4 counts. Starts are not disruptions.
     pub fn disruptions(&self) -> usize {
-        self.actions
-            .iter()
-            .filter(|a| !matches!(a, PlacementAction::Start { .. }))
-            .count()
+        disruptive_actions(&self.actions)
     }
+}
+
+/// The actions among `actions` that are not starts.
+fn disruptive_actions(actions: &[PlacementAction]) -> usize {
+    actions
+        .iter()
+        .filter(|a| !matches!(a, PlacementAction::Start { .. }))
+        .count()
 }
 
 /// Runs the full three-nested-loop optimization for one control cycle.
@@ -608,8 +613,8 @@ pub(crate) fn optimize_scoped(
             // Intermediate loop: build every candidate for this node
             // first (k instances removed, then greedily refilled), …
             // Most nodes of a fill-only pass build none, so the vector
-            // allocates on its first push.
-            let mut candidates: Vec<Placement> = Vec::new();
+            // allocates on its first push. Each candidate keeps its `k`.
+            let mut candidates: Vec<(usize, Placement)> = Vec::new();
             for k in 0..=max_removals {
                 // With nothing removed, the fill changes the placement
                 // only if some open application fits the node as it
@@ -633,26 +638,32 @@ pub(crate) fn optimize_scoped(
                     &incumbent.fill_order,
                     config,
                 );
-                if candidate == current {
+                // A removal is never refilled, so only `k == 0` can
+                // reproduce `current`.
+                if k == 0 && candidate == current {
                     continue;
                 }
-                candidates.push(candidate);
+                candidates.push((k, candidate));
             }
             // … then score and fold them in generation (k) order.
             let scored_count = candidates.len();
 
             // (candidate, score, disruptive action count)
             let mut node_best: Option<(Placement, Arc<PlacementScore>, usize)> = None;
-            for candidate in candidates {
+            for (k, candidate) in candidates {
                 let Some(score) = score_one(problem, config, &cache, &candidate) else {
                     continue;
                 };
                 stats.evaluations += 1;
-                let diff = current.diff(&candidate);
-                let disruptions = diff
-                    .iter()
-                    .filter(|a| !matches!(a, PlacementAction::Start { .. }))
-                    .count();
+                // The candidate differs from `current` on this node only,
+                // and the refill never re-adds a removed application, so
+                // its disruptive actions are exactly its `k` stops.
+                let disruptions = k;
+                debug_assert_eq!(
+                    disruptive_actions(&current.diff(&candidate)),
+                    disruptions,
+                    "node {node}"
+                );
                 let threshold = if disruptions == 0 {
                     config.start_threshold
                 } else {
@@ -1375,6 +1386,45 @@ mod tests {
                     let mut reference = base;
                     reference_fill(&world, &mut reference, node, removed);
                     prop_assert_eq!(indexed, reference, "node {} k {}", node, k);
+                }
+            }
+        }
+
+        /// A candidate built as the node loop builds it — `k` of one
+        /// node's instances removed, then the node refilled — differs
+        /// from the incumbent by exactly `k` actions that are not
+        /// starts, which is what the loop counts as its disruptions.
+        #[test]
+        fn candidate_disruptions_equal_removals(params in arb_world()) {
+            let world = build(params);
+            let problem = world.problem();
+            let incumbent = world.incumbent();
+            for node in world.cluster.node_ids() {
+                let on_node: Vec<AppId> = incumbent
+                    .residents_on(node)
+                    .iter()
+                    .flat_map(|&(app, count)| std::iter::repeat(app).take(count as usize))
+                    .collect();
+                for k in 0..=on_node.len() {
+                    let removed = &on_node[..k];
+                    let mut candidate = world.current.clone();
+                    for &app in removed {
+                        candidate.remove(app, node).unwrap();
+                    }
+                    fill_node(
+                        &problem,
+                        &mut candidate,
+                        node,
+                        removed,
+                        incumbent.residents_on(node),
+                        &incumbent.fill_order,
+                        &world.config,
+                    );
+                    prop_assert_eq!(
+                        disruptive_actions(&world.current.diff(&candidate)),
+                        k,
+                        "node {} k {}", node, k
+                    );
                 }
             }
         }

@@ -162,15 +162,36 @@ impl LoadDistribution {
     }
 }
 
+/// Zero speeds are skipped, and a later speed for a cell replaces an
+/// earlier one, as [`LoadDistribution::set`] would. The map is built in
+/// one bulk pass from the sorted cells.
+///
+/// # Panics
+///
+/// Panics if a speed is negative.
 impl FromIterator<(AppId, NodeId, CpuSpeed)> for LoadDistribution {
     fn from_iter<I: IntoIterator<Item = (AppId, NodeId, CpuSpeed)>>(iter: I) -> Self {
-        let mut l = LoadDistribution::new();
-        for (app, node, speed) in iter {
-            if !speed.is_zero() {
-                l.set(app, node, speed);
+        let mut cells: Vec<((AppId, NodeId), CpuSpeed)> = iter
+            .into_iter()
+            .filter(|(_, _, speed)| !speed.is_zero())
+            .map(|(app, node, speed)| {
+                assert!(speed.as_mhz() >= 0.0, "cpu allocation must be non-negative");
+                ((app, node), speed)
+            })
+            .collect();
+        // A stable sort keeps each cell's speeds in input order; the last
+        // one is kept.
+        cells.sort_by_key(|&(cell, _)| cell);
+        cells.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
             }
+            same
+        });
+        Self {
+            cells: cells.into_iter().collect(),
         }
-        l
     }
 }
 

@@ -2,6 +2,8 @@
 //! run on each node.
 
 use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::Range;
 
 use crate::app::ApplicationSpec;
 use crate::cluster::{AppSet, Cluster};
@@ -14,8 +16,10 @@ use crate::units::Memory;
 /// Sparse matrix of instance counts: cell `(m, n)` is the number of
 /// instances of application `m` running on node `n`.
 ///
-/// Backed by a `BTreeMap` so iteration order is deterministic, which keeps
-/// the whole control loop reproducible run-to-run.
+/// Backed by a vector of cells sorted by `(app, node)`, so iteration
+/// order is deterministic, which keeps the whole control loop
+/// reproducible run-to-run, and a copy is one allocation: the optimizer
+/// clones the incumbent for every candidate it builds.
 ///
 /// ```
 /// use dynaplace_model::placement::Placement;
@@ -26,9 +30,30 @@ use crate::units::Memory;
 /// assert_eq!(p.count(AppId::new(0), NodeId::new(2)), 1);
 /// assert_eq!(p.total_instances(AppId::new(0)), 1);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone, Default, PartialEq, Eq)]
 pub struct Placement {
-    cells: BTreeMap<(AppId, NodeId), u32>,
+    /// `((app, node), count)`, strictly ascending by `(app, node)`, every
+    /// count positive.
+    cells: Vec<((AppId, NodeId), u32)>,
+}
+
+impl fmt::Debug for Placement {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Placement")
+            .field("cells", &CellsDebug(&self.cells))
+            .finish()
+    }
+}
+
+/// Prints the cells as the map they stand for.
+struct CellsDebug<'a>(&'a [((AppId, NodeId), u32)]);
+
+impl fmt::Debug for CellsDebug<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map()
+            .entries(self.0.iter().map(|(cell, count)| (cell, count)))
+            .finish()
+    }
 }
 
 impl Placement {
@@ -37,9 +62,22 @@ impl Placement {
         Self::default()
     }
 
+    /// The position of cell `(app, node)`, or where it would be inserted.
+    fn find(&self, app: AppId, node: NodeId) -> Result<usize, usize> {
+        self.cells
+            .binary_search_by_key(&(app, node), |&(cell, _)| cell)
+    }
+
+    /// The positions of `app`'s cells.
+    fn app_range(&self, app: AppId) -> Range<usize> {
+        let start = self.cells.partition_point(|&((a, _), _)| a < app);
+        let end = start + self.cells[start..].partition_point(|&((a, _), _)| a == app);
+        start..end
+    }
+
     /// Number of instances of `app` on `node`.
     pub fn count(&self, app: AppId, node: NodeId) -> u32 {
-        self.cells.get(&(app, node)).copied().unwrap_or(0)
+        self.find(app, node).map_or(0, |i| self.cells[i].1)
     }
 
     /// Adds one instance of `app` on `node` without checking constraints.
@@ -47,7 +85,10 @@ impl Placement {
     /// Prefer [`Placement::checked_place`] unless the caller has already
     /// validated the move.
     pub fn place(&mut self, app: AppId, node: NodeId) {
-        *self.cells.entry((app, node)).or_insert(0) += 1;
+        match self.find(app, node) {
+            Ok(i) => self.cells[i].1 += 1,
+            Err(i) => self.cells.insert(i, ((app, node), 1)),
+        }
     }
 
     /// Adds one instance after validating every placement constraint:
@@ -127,39 +168,31 @@ impl Placement {
     ///
     /// Returns [`ModelError::InstanceNotPlaced`] if no instance is there.
     pub fn remove(&mut self, app: AppId, node: NodeId) -> Result<(), ModelError> {
-        match self.cells.get_mut(&(app, node)) {
-            Some(count) if *count > 1 => {
-                *count -= 1;
+        match self.find(app, node) {
+            Ok(i) if self.cells[i].1 > 1 => {
+                self.cells[i].1 -= 1;
                 Ok(())
             }
-            Some(_) => {
-                self.cells.remove(&(app, node));
+            Ok(i) => {
+                self.cells.remove(i);
                 Ok(())
             }
-            None => Err(ModelError::InstanceNotPlaced { app, node }),
+            Err(_) => Err(ModelError::InstanceNotPlaced { app, node }),
         }
     }
 
     /// Removes every instance of `app` from every node, returning how many
     /// instances were removed.
     pub fn evict(&mut self, app: AppId) -> u32 {
-        let keys: Vec<_> = self
-            .cells
-            .range((app, NodeId::new(0))..=(app, NodeId::new(u32::MAX)))
-            .map(|(&k, _)| k)
-            .collect();
-        let mut removed = 0;
-        for k in keys {
-            removed += self.cells.remove(&k).unwrap_or(0);
-        }
-        removed
+        let range = self.app_range(app);
+        self.cells.drain(range).map(|(_, count)| count).sum()
     }
 
     /// Iterates over the nodes hosting `app`, with instance counts.
     pub fn instances_of(&self, app: AppId) -> impl Iterator<Item = (NodeId, u32)> + '_ {
-        self.cells
-            .range((app, NodeId::new(0))..=(app, NodeId::new(u32::MAX)))
-            .map(|(&(_, node), &count)| (node, count))
+        self.cells[self.app_range(app)]
+            .iter()
+            .map(|&((_, node), count)| (node, count))
     }
 
     /// Iterates over the applications on `node`, in ascending [`AppId`]
@@ -172,8 +205,8 @@ impl Placement {
     pub fn apps_on(&self, node: NodeId) -> impl Iterator<Item = (AppId, u32)> + '_ {
         self.cells
             .iter()
-            .filter(move |(&(_, n), _)| n == node)
-            .map(|(&(app, _), &count)| (app, count))
+            .filter(move |&&((_, n), _)| n == node)
+            .map(|&((app, _), count)| (app, count))
     }
 
     /// Total number of instances of `app` across all nodes.
@@ -225,12 +258,12 @@ impl Placement {
     pub fn iter(&self) -> impl Iterator<Item = (AppId, NodeId, u32)> + '_ {
         self.cells
             .iter()
-            .map(|(&(app, node), &count)| (app, node, count))
+            .map(|&((app, node), count)| (app, node, count))
     }
 
     /// Total number of placed instances.
     pub fn total_placed(&self) -> u32 {
-        self.cells.values().sum()
+        self.cells.iter().map(|&(_, count)| count).sum()
     }
 
     /// Number of non-empty cells.
@@ -298,15 +331,26 @@ impl Placement {
     }
 }
 
+/// Zero counts are skipped, and a later count for a cell replaces an
+/// earlier one.
 impl FromIterator<(AppId, NodeId, u32)> for Placement {
     fn from_iter<I: IntoIterator<Item = (AppId, NodeId, u32)>>(iter: I) -> Self {
-        let mut p = Placement::new();
-        for (app, node, count) in iter {
-            if count > 0 {
-                p.cells.insert((app, node), count);
+        let mut cells: Vec<((AppId, NodeId), u32)> = iter
+            .into_iter()
+            .filter(|&(_, _, count)| count > 0)
+            .map(|(app, node, count)| ((app, node), count))
+            .collect();
+        // A stable sort keeps each cell's counts in input order; the last
+        // one is kept.
+        cells.sort_by_key(|&(cell, _)| cell);
+        cells.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
             }
-        }
-        p
+            same
+        });
+        Self { cells }
     }
 }
 
@@ -334,6 +378,28 @@ mod tests {
             CpuSpeed::from_mhz(500.0),
         ));
         (cluster, apps, j1, j2)
+    }
+
+    #[test]
+    fn collected_cells_sort_and_print_like_a_map() {
+        let (a, b) = (AppId::new(0), AppId::new(1));
+        let (n0, n1) = (NodeId::new(0), NodeId::new(1));
+        // Out of order, a zero count and a repeated cell: zeros are
+        // skipped and the last count for a cell wins.
+        let p: Placement = [(b, n0, 2), (a, n1, 1), (b, n0, 3), (a, n0, 0)]
+            .into_iter()
+            .collect();
+        assert_eq!(p.iter().collect::<Vec<_>>(), vec![(a, n1, 1), (b, n0, 3)]);
+        let map: BTreeMap<(AppId, NodeId), u32> = [((a, n1), 1), ((b, n0), 3)].into();
+        assert_eq!(format!("{p:?}"), format!("Placement {{ cells: {map:?} }}"));
+        let mut q = p.clone();
+        q.place(a, n0);
+        assert_eq!(
+            q.instances_of(a).collect::<Vec<_>>(),
+            vec![(n0, 1), (n1, 1)]
+        );
+        assert_eq!(q.evict(b), 3);
+        assert_eq!(q.total_placed(), 2);
     }
 
     #[test]
