@@ -186,21 +186,96 @@ impl fmt::Display for ResourceDims {
 /// assert_eq!(demand.get(1), 100.0);
 /// assert_eq!(demand.get(7), 0.0); // zero-extended
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone)]
 pub struct Resources {
-    values: Vec<f64>,
+    values: Values,
+}
+
+/// Stored dimensions held inline: memory plus up to three extra
+/// dimensions copy without a heap allocation, which is what a cluster
+/// build does for every node.
+const INLINE_DIMS: usize = 4;
+
+/// A `Resources` vector's storage.
+#[derive(Clone)]
+enum Values {
+    /// The first `len` entries of the array; the rest are zero.
+    Inline(u8, [f64; INLINE_DIMS]),
+    /// More than [`INLINE_DIMS`] entries.
+    Heap(Vec<f64>),
+}
+
+impl Values {
+    fn from_vec(values: Vec<f64>) -> Self {
+        if values.len() <= INLINE_DIMS {
+            let mut inline = [0.0; INLINE_DIMS];
+            inline[..values.len()].copy_from_slice(&values);
+            Values::Inline(values.len() as u8, inline)
+        } else {
+            Values::Heap(values)
+        }
+    }
+
+    fn as_slice(&self) -> &[f64] {
+        match self {
+            Values::Inline(len, inline) => &inline[..usize::from(*len)],
+            Values::Heap(values) => values,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [f64] {
+        match self {
+            Values::Inline(len, inline) => &mut inline[..usize::from(*len)],
+            Values::Heap(values) => values,
+        }
+    }
+
+    /// Extends the stored length to `len` with zeros.
+    fn grow(&mut self, len: usize) {
+        match self {
+            Values::Inline(stored, _) if len <= INLINE_DIMS => {
+                *stored = (*stored).max(len as u8);
+            }
+            Values::Inline(..) => {
+                let mut values = self.as_slice().to_vec();
+                values.resize(len, 0.0);
+                *self = Values::Heap(values);
+            }
+            Values::Heap(values) => {
+                if len > values.len() {
+                    values.resize(len, 0.0);
+                }
+            }
+        }
+    }
+}
+
+impl PartialEq for Resources {
+    fn eq(&self, other: &Self) -> bool {
+        self.values() == other.values()
+    }
+}
+
+impl fmt::Debug for Resources {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Resources")
+            .field("values", &self.values())
+            .finish()
+    }
 }
 
 impl Resources {
     /// A vector with every stored dimension zero (memory only).
     pub fn zero() -> Self {
-        Self { values: vec![0.0] }
+        Self::memory_only(Memory::ZERO)
     }
 
     /// A memory-only vector — the paper's rigid demand.
     pub fn memory_only(memory: Memory) -> Self {
+        let mut inline = [0.0; INLINE_DIMS];
+        inline[ResourceDims::MEMORY] = memory.as_mb();
         Self {
-            values: vec![memory.as_mb()],
+            values: Values::Inline(1, inline),
         }
     }
 
@@ -211,39 +286,42 @@ impl Resources {
         if values.is_empty() {
             values.push(0.0);
         }
-        Self { values }
+        Self {
+            values: Values::from_vec(values),
+        }
     }
 
     /// The memory dimension as a typed quantity.
     pub fn memory(&self) -> Memory {
-        Memory::from_mb(self.values[ResourceDims::MEMORY])
+        Memory::from_mb(self.values()[ResourceDims::MEMORY])
     }
 
     /// The quantity in dimension `dim`; `0.0` beyond the stored length.
     #[inline]
     pub fn get(&self, dim: usize) -> f64 {
-        self.values.get(dim).copied().unwrap_or(0.0)
+        self.values().get(dim).copied().unwrap_or(0.0)
     }
 
     /// Number of stored dimensions (always ≥ 1).
     pub fn len(&self) -> usize {
-        self.values.len()
+        self.values().len()
     }
 
     /// Whether no dimensions are stored. Never true after construction.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values().is_empty()
     }
 
     /// The stored per-dimension values.
+    #[inline]
     pub fn values(&self) -> &[f64] {
-        &self.values
+        self.values.as_slice()
     }
 
     /// Whether every stored quantity is non-negative; on failure, the
     /// first offending dimension.
     pub fn first_negative(&self) -> Option<(usize, f64)> {
-        self.values
+        self.values()
             .iter()
             .enumerate()
             .find(|(_, v)| **v < 0.0)
@@ -252,7 +330,7 @@ impl Resources {
 
     /// Whether every stored quantity is finite.
     pub fn all_finite(&self) -> bool {
-        self.values.iter().all(|v| v.is_finite())
+        self.values().iter().all(|v| v.is_finite())
     }
 
     /// Adds `count` instances' worth of `demand` to this accumulator,
@@ -260,11 +338,10 @@ impl Resources {
     /// exactly the `used += memory * count` accumulation of the
     /// memory-only model.
     pub fn add_scaled(&mut self, demand: &Resources, count: f64) {
-        if demand.values.len() > self.values.len() {
-            self.values.resize(demand.values.len(), 0.0);
-        }
-        for (d, v) in demand.values.iter().enumerate() {
-            self.values[d] += v * count;
+        self.values.grow(demand.len());
+        let values = self.values.as_mut_slice();
+        for (d, v) in demand.values().iter().enumerate() {
+            values[d] += v * count;
         }
     }
 
@@ -274,18 +351,14 @@ impl Resources {
     /// `used + demand > capacity` memory comparison of the memory-only
     /// model.
     pub fn first_overflow(&self, demand: &Resources, capacity: &Resources) -> Option<usize> {
-        let dims = self
-            .values
-            .len()
-            .max(demand.values.len())
-            .max(capacity.values.len());
+        let dims = self.len().max(demand.len()).max(capacity.len());
         (0..dims).find(|&d| self.get(d) + demand.get(d) > capacity.get(d))
     }
 
     /// Checks `self` against `capacity` dimension by dimension (both
     /// zero-extended), returning the first exceeded dimension.
     pub fn first_exceeding(&self, capacity: &Resources) -> Option<usize> {
-        let dims = self.values.len().max(capacity.values.len());
+        let dims = self.len().max(capacity.len());
         (0..dims).find(|&d| self.get(d) > capacity.get(d))
     }
 
@@ -293,29 +366,26 @@ impl Resources {
     /// zero, with `self`'s stored length.
     #[must_use]
     pub fn saturating_sub(&self, used: &Resources) -> Resources {
-        Resources {
-            values: self
-                .values
+        Resources::new(
+            self.values()
                 .iter()
                 .enumerate()
                 .map(|(d, v)| (v - used.get(d)).max(0.0))
                 .collect(),
-        }
+        )
     }
 
     /// The element-wise maximum of `self` and `other`, with the longer
     /// stored length.
     #[must_use]
     pub fn max(&self, other: &Resources) -> Resources {
-        let dims = self.values.len().max(other.values.len());
-        Resources {
-            values: (0..dims).map(|d| self.get(d).max(other.get(d))).collect(),
-        }
+        let dims = self.len().max(other.len());
+        Resources::new((0..dims).map(|d| self.get(d).max(other.get(d))).collect())
     }
 
     /// Iterates over stored `(dim, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (usize, f64)> + '_ {
-        self.values.iter().copied().enumerate()
+        self.values().iter().copied().enumerate()
     }
 }
 
@@ -328,7 +398,7 @@ impl Default for Resources {
 impl fmt::Display for Resources {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("[")?;
-        for (d, v) in self.values.iter().enumerate() {
+        for (d, v) in self.values().iter().enumerate() {
             if d > 0 {
                 f.write_str(", ")?;
             }
@@ -432,6 +502,26 @@ mod tests {
         assert_eq!(Resources::new(vec![1.0, 2.0]).first_negative(), None);
         assert!(!Resources::new(vec![f64::NAN]).all_finite());
         assert!(Resources::new(vec![0.0, 5.0]).all_finite());
+    }
+
+    #[test]
+    fn storage_size_never_shows() {
+        // Growing an inline vector past its inline capacity moves it to
+        // the heap; values, zero-extension and equality do not change.
+        let mut grown = Resources::new(vec![1.0]);
+        grown.add_scaled(&Resources::new(vec![0.0, 0.0, 2.0]), 1.0);
+        assert_eq!(grown.values(), &[1.0, 0.0, 2.0]);
+        grown.add_scaled(&Resources::new(vec![1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), 2.0);
+        assert_eq!(grown.values(), &[3.0, 2.0, 4.0, 2.0, 2.0, 2.0]);
+        assert_eq!(grown.get(9), 0.0);
+        assert_eq!(grown, Resources::new(vec![3.0, 2.0, 4.0, 2.0, 2.0, 2.0]));
+        assert_ne!(grown, Resources::new(vec![3.0, 2.0, 4.0, 2.0, 2.0]));
+        assert_eq!(grown.clone(), grown);
+        assert_eq!(
+            format!("{:?}", Resources::new(vec![1.5, 2.0])),
+            "Resources { values: [1.5, 2.0] }"
+        );
+        assert_eq!(Resources::zero(), Resources::memory_only(Memory::ZERO));
     }
 
     #[test]
