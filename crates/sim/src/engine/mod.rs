@@ -150,6 +150,11 @@ pub struct Simulation {
     now: SimTime,
     last_advance: SimTime,
     events: EventQueue,
+    /// Instants (as `f64` bit patterns) with an
+    /// [`EventKind::ActuationRetry`] queued: one reconcile per instant
+    /// re-issues every owed operation, so each instant holds at most
+    /// one retry (see [`Simulation::schedule_retry`]).
+    retry_instants: std::collections::BTreeSet<u64>,
     /// The lazily drained workload source (streaming mode); `None` when
     /// every submission was registered up front (lock-step mode).
     source: Option<Box<dyn WorkloadSource>>,
@@ -221,6 +226,7 @@ impl Simulation {
             now: SimTime::ZERO,
             last_advance: SimTime::ZERO,
             events: EventQueue::new(),
+            retry_instants: std::collections::BTreeSet::new(),
             source: None,
             metrics: RunMetrics::default(),
             live_jobs: 0,

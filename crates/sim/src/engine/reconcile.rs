@@ -147,8 +147,22 @@ impl Simulation {
     }
 
     pub(super) fn on_actuation_retry(&mut self) {
+        self.retry_instants.remove(&self.now.as_secs().to_bits());
+        self.metrics.actuation.retry_events += 1;
         self.advance_progress();
         self.reconcile();
+    }
+
+    /// Queues an actuation retry at `at` unless one is already queued for
+    /// that instant. The retry's reconcile re-issues every operation still
+    /// owed at `at`, so a second retry at the same instant would only
+    /// repeat it — and, since every reconcile that fails or rolls back an
+    /// operation schedules again, duplicates would multiply at every
+    /// backoff step.
+    pub(super) fn schedule_retry(&mut self, at: SimTime) {
+        if self.retry_instants.insert(at.as_secs().to_bits()) {
+            self.events.push(at, EventKind::ActuationRetry);
+        }
     }
 
     /// Whether `app` still participates in placement (an unfinished job or
@@ -376,7 +390,7 @@ impl Simulation {
                         });
                     }
                 }
-                self.events.push(disp.retry_at, EventKind::ActuationRetry);
+                self.schedule_retry(disp.retry_at);
             }
         }
 
@@ -439,8 +453,7 @@ impl Simulation {
                         reason: "rollback",
                     });
                 }
-                self.events
-                    .push(self.now + acfg.base_backoff, EventKind::ActuationRetry);
+                self.schedule_retry(self.now + acfg.base_backoff);
                 diverged = true;
             }
         }

@@ -1,5 +1,7 @@
 //! Metric collection: everything the paper's figures plot.
 
+use std::fmt;
+
 use dynaplace_json::{json_object, obj, FromJson, Json, JsonError, ToJson};
 use dynaplace_model::ids::{AppId, NodeId};
 use dynaplace_model::placement::Placement;
@@ -96,7 +98,7 @@ impl ChangeCounters {
 /// Counters of the fault-tolerant actuation layer and its reconciliation
 /// loop. All-zero whenever the actuation configuration is the default
 /// (infallible) one.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub struct ActuationCounters {
     /// Operations that failed outright (placement unchanged).
     pub failed_ops: u64,
@@ -117,6 +119,30 @@ pub struct ActuationCounters {
     /// Scheduler-visible invariants that legitimately did not hold under
     /// fallible actuation and were skipped instead of panicking.
     pub invariant_skips: u64,
+    /// Actuation-retry events processed (each one reconcile). At most
+    /// one is queued per instant.
+    pub retry_events: u64,
+}
+
+/// Like the JSON form, the debug form leaves `retry_events` out while it
+/// is zero, so runs without actuation retries print (and hash) exactly
+/// as they did before the counter existed.
+impl fmt::Debug for ActuationCounters {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut s = f.debug_struct("ActuationCounters");
+        s.field("failed_ops", &self.failed_ops)
+            .field("timed_out_ops", &self.timed_out_ops)
+            .field("retries", &self.retries)
+            .field("deferrals", &self.deferrals)
+            .field("quarantines", &self.quarantines)
+            .field("fill_only_fallbacks", &self.fill_only_fallbacks)
+            .field("deadline_truncations", &self.deadline_truncations)
+            .field("invariant_skips", &self.invariant_skips);
+        if self.retry_events != 0 {
+            s.field("retry_events", &self.retry_events);
+        }
+        s.finish()
+    }
 }
 
 impl ActuationCounters {
@@ -359,15 +385,18 @@ json_object!(ChangeCounters {
     migrations,
 });
 
-json_object!(ActuationCounters: Default {
-    failed_ops,
-    timed_out_ops,
-    retries,
-    deferrals,
-    quarantines,
-    fill_only_fallbacks,
-    deadline_truncations,
-    invariant_skips,
+// `retry_events` is written only when non-zero, so the metrics of runs
+// without actuation retries read exactly as before it existed.
+json_object!(ActuationCounters {
+    failed_ops: default,
+    timed_out_ops: default,
+    retries: default,
+    deferrals: default,
+    quarantines: default,
+    fill_only_fallbacks: default,
+    deadline_truncations: default,
+    invariant_skips: default,
+    retry_events: default omit_if default,
 });
 
 json_object!(ObservationCounters: Default {
@@ -608,6 +637,7 @@ mod tests {
             fill_only_fallbacks: 1,
             deadline_truncations: 0,
             invariant_skips: 0,
+            retry_events: 4,
         };
         m.observation = ObservationCounters {
             missed_heartbeats: 12,
@@ -626,6 +656,23 @@ mod tests {
         assert_eq!(back.actuation, m.actuation);
         assert_eq!(back.observation, m.observation);
         assert_eq!(back.observation.lost_total(), 19);
+    }
+
+    #[test]
+    fn a_zero_retry_count_is_left_out_of_json_and_debug_forms() {
+        let mut a = ActuationCounters {
+            failed_ops: 1,
+            ..Default::default()
+        };
+        assert_eq!(
+            format!("{a:?}"),
+            "ActuationCounters { failed_ops: 1, timed_out_ops: 0, retries: 0, deferrals: 0, \
+             quarantines: 0, fill_only_fallbacks: 0, deadline_truncations: 0, invariant_skips: 0 }"
+        );
+        assert!(!a.to_json().compact().contains("retry_events"));
+        a.retry_events = 2;
+        assert!(format!("{a:?}").ends_with("invariant_skips: 0, retry_events: 2 }"));
+        assert!(a.to_json().compact().contains("\"retry_events\":2.0"));
     }
 
     #[test]

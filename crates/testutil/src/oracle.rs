@@ -178,6 +178,52 @@ fn convergence_grace(spec: &ScenarioSpec) -> Option<f64> {
     Some(actuation.max(observation))
 }
 
+/// Bounded retry work: actuation retries grow with the run's length and
+/// with the operations that failed, never multiply. The engine queues
+/// at most one retry per instant (DESIGN.md §10), and a retry is queued
+/// either at a failed or timed-out operation's backoff instant, or one
+/// `base_backoff` after a transition that rolled a start back. Follow
+/// the second kind back one `base_backoff` at a time and each chain
+/// ends at an instant that is not a rollback retry: a failure's
+/// retry, a control cycle, an arrival or completion, or a node failure
+/// or recovery. Each such root heads at most one retry per
+/// `base_backoff` up to the run's end, so
+///
+/// `retry_events ≤ F + (F + cycles + 2 · apps + 2 · outages) · (⌊end / base_backoff⌋ + 1)`
+///
+/// with `F = failed_ops + timed_out_ops`. `end` is the last recorded
+/// instant plus one cycle, the longest backoff and a quarantine, which
+/// covers retries that outlive the last control cycle. Duplicate
+/// retries at one instant double at every backoff step and break this
+/// within a few dozen steps.
+fn retry_work_violation(spec: &ScenarioSpec, metrics: &RunMetrics, apps: usize) -> Option<String> {
+    let a = &metrics.actuation;
+    let failed = a.failed_ops + a.timed_out_ops;
+    let roots = failed
+        + metrics.samples.len() as u64
+        + 2 * apps as u64
+        + 2 * spec.node_failures.len() as u64;
+    let last = metrics
+        .samples
+        .iter()
+        .map(|s| s.time.as_secs())
+        .chain(metrics.completions.iter().map(|c| c.completion.as_secs()))
+        .chain(metrics.starvation.iter().map(|r| r.time.as_secs()))
+        .chain(spec.horizon_secs)
+        .fold(0.0, f64::max);
+    let end =
+        last + spec.cycle_secs + spec.actuation.max_backoff_secs + spec.actuation.quarantine_secs;
+    let steps = (end / spec.actuation.base_backoff_secs).floor() as u64 + 1;
+    let bound = failed + roots * steps;
+    (a.retry_events > bound).then(|| {
+        format!(
+            "{} actuation-retry events exceed the bound {bound} ({failed} failed or timed-out \
+             operations, {roots} chain roots, {steps} backoff steps to t={end}s)",
+            a.retry_events
+        )
+    })
+}
+
 /// Checks every whole-run invariant the spec's contract implies.
 /// Returns all violations (not just the first) so a fuzz failure
 /// message shows the full shape of the breakage.
@@ -346,6 +392,10 @@ pub fn check_run(spec: &ScenarioSpec, metrics: &RunMetrics) -> Result<(), Vec<St
                 ));
             }
         }
+    }
+
+    if let Some(violation) = retry_work_violation(spec, metrics, apps.len()) {
+        violations.push(violation);
     }
 
     // Observation-layer accounting. Without an `observation` block the
