@@ -213,8 +213,9 @@ fn retry_work_violation(spec: &ScenarioSpec, metrics: &RunMetrics, apps: usize) 
         .fold(0.0, f64::max);
     let end =
         last + spec.cycle_secs + spec.actuation.max_backoff_secs + spec.actuation.quarantine_secs;
-    let steps = (end / spec.actuation.base_backoff_secs).floor() as u64 + 1;
-    let bound = failed + roots * steps;
+    // A zero backoff makes the step count infinite; `as` saturates it.
+    let steps = ((end / spec.actuation.base_backoff_secs).floor() as u64).saturating_add(1);
+    let bound = failed.saturating_add(roots.saturating_mul(steps));
     (a.retry_events > bound).then(|| {
         format!(
             "{} actuation-retry events exceed the bound {bound} ({failed} failed or timed-out \
