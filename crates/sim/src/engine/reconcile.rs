@@ -270,11 +270,17 @@ impl Simulation {
         // Applied instance-adding actions, in order, for the feasibility
         // rollback below: (action, counted as resume).
         let mut applied_adds: Vec<(PlacementAction, bool)> = Vec::new();
+        // Transactional instances reconfigure freely, without an
+        // operation; the rollback falls back to their additions.
+        let mut txn_adds: Vec<PlacementAction> = Vec::new();
 
         for action in actions {
             let app = action.app();
             let Some(job) = self.jobs.get(&app) else {
-                continue; // transactional instances reconfigure freely
+                if !matches!(action, PlacementAction::Stop { .. }) {
+                    txn_adds.push(*action);
+                }
+                continue;
             };
             let footprint = job
                 .state
@@ -399,8 +405,10 @@ impl Simulation {
         // hypervisor would refuse them: not enough free memory, or an
         // anti-affinity conflict with the instance that was supposed to be
         // gone). Roll back the most recent applied add on the offending
-        // node until the placement is consistent; reconciliation re-issues
-        // the rolled-back operations once the node drains.
+        // node — a transactional addition when no operation added an
+        // instance there — until the placement is consistent;
+        // reconciliation re-issues the rolled-back additions once the node
+        // drains.
         if !kept.is_empty() {
             while let Err(err) = achieved.validate(self.effective_cluster(), &self.apps) {
                 use dynaplace_model::error::ModelError;
@@ -413,24 +421,36 @@ impl Simulation {
                         break;
                     }
                 };
-                let Some(pos) = applied_adds.iter().rposition(|(a, _)| match *a {
+                let adds_to_node = |a: &PlacementAction| match *a {
                     PlacementAction::Start { node: n, .. } => n == node,
                     PlacementAction::Migrate { to, .. } => to == node,
                     PlacementAction::Stop { .. } => false,
-                }) else {
-                    self.metrics.actuation.invariant_skips += 1;
-                    break;
                 };
-                let (rolled, resumed) = applied_adds.remove(pos);
+                let rolled =
+                    if let Some(pos) = applied_adds.iter().rposition(|(a, _)| adds_to_node(a)) {
+                        // An applied operation: it no longer counts as a
+                        // change.
+                        let (rolled, resumed) = applied_adds.remove(pos);
+                        let changes = &mut self.metrics.changes;
+                        match rolled {
+                            PlacementAction::Start { .. } if resumed => changes.resumes -= 1,
+                            PlacementAction::Start { .. } => changes.starts -= 1,
+                            PlacementAction::Migrate { .. } => changes.migrations -= 1,
+                            PlacementAction::Stop { .. } => {
+                                unreachable!("stops never add instances")
+                            }
+                        }
+                        rolled
+                    } else if let Some(pos) = txn_adds.iter().rposition(adds_to_node) {
+                        txn_adds.remove(pos)
+                    } else {
+                        self.metrics.actuation.invariant_skips += 1;
+                        break;
+                    };
                 match rolled {
                     PlacementAction::Start { app, node } => {
                         if achieved.remove(app, node).is_err() {
                             self.metrics.actuation.invariant_skips += 1;
-                        }
-                        if resumed {
-                            self.metrics.changes.resumes -= 1;
-                        } else {
-                            self.metrics.changes.starts -= 1;
                         }
                     }
                     PlacementAction::Migrate { app, from, to } => {
@@ -439,7 +459,6 @@ impl Simulation {
                         }
                         achieved.place(app, from);
                         kept.insert((app, from));
-                        self.metrics.changes.migrations -= 1;
                     }
                     PlacementAction::Stop { .. } => unreachable!("stops never add instances"),
                 }
