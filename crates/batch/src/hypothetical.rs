@@ -302,31 +302,49 @@ impl JobColumn {
         Self { u_max: cap, w, v }
     }
 
-    /// The column of `job`, as seen at `now`, one control cycle later:
-    /// the job advanced by `omega · cycle` and sampled at `now + cycle`.
-    /// This is the column [`evaluate_batch_placement_with_columns`]
-    /// asks its caller for.
+    /// Number of grid rows sampled.
+    pub fn rows(&self) -> usize {
+        self.w.len()
+    }
+}
+
+/// A job that outlives the evaluated cycle, as
+/// [`evaluate_batch_placement_with_columns`] hands it to its column
+/// callback: the job as seen at `now`, with the CPU speed the candidate
+/// gives it over the cycle.
+#[derive(Debug, Clone, Copy)]
+pub struct Survivor<'a> {
+    now: SimTime,
+    cycle: SimDuration,
+    job: &'a JobSnapshot,
+    omega: CpuSpeed,
+}
+
+impl Survivor<'_> {
+    /// The job's application.
+    pub fn app(&self) -> AppId {
+        self.job.app()
+    }
+
+    /// The CPU speed the job gets over the cycle.
+    pub fn omega(&self) -> CpuSpeed {
+        self.omega
+    }
+
+    /// The job's column one cycle later: the job advanced by
+    /// `omega · cycle` and sampled at `now + cycle`.
     ///
     /// # Panics
     ///
     /// Panics if the advanced job is completed.
-    pub fn after_cycle(
-        now: SimTime,
-        cycle: SimDuration,
-        job: &JobSnapshot,
-        omega: CpuSpeed,
-        grid: &[f64],
-    ) -> Self {
-        Self::build(
-            now + cycle,
-            &job.advanced(omega * cycle, SimDuration::ZERO),
+    pub fn column(&self, grid: &[f64]) -> JobColumn {
+        JobColumn::build(
+            self.now + self.cycle,
+            &self
+                .job
+                .advanced(self.omega * self.cycle, SimDuration::ZERO),
             grid,
         )
-    }
-
-    /// Number of grid rows sampled.
-    pub fn rows(&self) -> usize {
-        self.w.len()
     }
 }
 
@@ -617,18 +635,18 @@ pub fn evaluate_batch_placement_with_grid<J: Borrow<JobSnapshot>>(
     jobs: &[(J, CpuSpeed)],
     grid: &[f64],
 ) -> BatchEvaluation {
-    evaluate_batch_placement_with_columns(now, cycle, jobs, grid, |job, omega| {
-        Arc::new(JobColumn::after_cycle(now, cycle, job, omega, grid))
+    evaluate_batch_placement_with_columns(now, cycle, jobs, grid, |survivor| {
+        Arc::new(survivor.column(grid))
     })
 }
 
 /// [`evaluate_batch_placement_with_grid`] with caller-supplied survivor
-/// columns: `column_for(job, omega)` returns
-/// [`JobColumn::after_cycle`]`(now, cycle, job, omega, grid)` for a job
-/// that survives the cycle — typically from a memo keyed by
-/// `(job.app(), omega)`, since within one placement problem that column
-/// is a pure function of the job and its candidate allocation. Supplying
-/// exactly what `after_cycle` would return yields a bit-identical
+/// columns: `column_for(survivor)` returns
+/// [`Survivor::column`]`(grid)` for each job that survives the cycle —
+/// typically from a memo keyed by `(survivor.app(), survivor.omega())`,
+/// since within one placement problem that column is a pure function of
+/// the job and its candidate allocation. Supplying exactly what
+/// `Survivor::column` would return yields a bit-identical
 /// [`BatchEvaluation`]. `jobs` may hold the snapshots or references to
 /// them.
 pub fn evaluate_batch_placement_with_columns<J, F>(
@@ -640,7 +658,7 @@ pub fn evaluate_batch_placement_with_columns<J, F>(
 ) -> BatchEvaluation
 where
     J: Borrow<JobSnapshot>,
-    F: FnMut(&JobSnapshot, CpuSpeed) -> Arc<JobColumn>,
+    F: FnMut(Survivor<'_>) -> Arc<JobColumn>,
 {
     let mut performances = Vec::with_capacity(jobs.len());
     let mut completions = Vec::new();
@@ -665,7 +683,13 @@ where
             completions.push((snapshot.app(), finish));
         } else {
             // Still live at the cycle boundary; can be (re)placed there.
-            survivors.push((snapshot.app(), column_for(snapshot, *omega)));
+            let survivor = Survivor {
+                now,
+                cycle,
+                job: snapshot,
+                omega: *omega,
+            };
+            survivors.push((snapshot.app(), column_for(survivor)));
         }
     }
 

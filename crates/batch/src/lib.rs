@@ -51,6 +51,7 @@ pub use class_profiler::{ClassStats, JobClassProfiler};
 pub use hypothetical::{
     default_grid, evaluate_batch_placement, evaluate_batch_placement_with_columns,
     evaluate_batch_placement_with_grid, BatchEvaluation, HypotheticalRpf, JobColumn, JobSnapshot,
+    Survivor,
 };
 pub use job::{JobProfile, JobSpec, JobStage};
 pub use state::{JobState, JobStatus};

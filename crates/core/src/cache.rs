@@ -193,10 +193,8 @@ impl ScoreCache {
                     .or_insert_with(|| vec![None; slots])
                     .as_mut_slice()
             }),
-            hits: 0,
-            misses: 0,
-            cache_hits: &self.demand_hits,
-            cache_misses: &self.demand_misses,
+            hits: &self.demand_hits,
+            misses: &self.demand_misses,
         }
     }
 
@@ -276,14 +274,10 @@ impl ScoreCache {
 }
 
 /// One level's row of the raw-demand memo (see [`ScoreCache::demand_row`]).
-/// It counts its own hits and misses and adds them to the cache's
-/// counters when dropped.
 pub(crate) struct DemandRow<'c> {
     slots: RefMut<'c, [Option<f64>]>,
-    hits: u64,
-    misses: u64,
-    cache_hits: &'c Cell<u64>,
-    cache_misses: &'c Cell<u64>,
+    hits: &'c Cell<u64>,
+    misses: &'c Cell<u64>,
 }
 
 impl DemandRow<'_> {
@@ -291,20 +285,13 @@ impl DemandRow<'_> {
     /// row's level, computing and memoizing on miss.
     pub(crate) fn get_or_insert_with(&mut self, slot: usize, compute: impl FnOnce() -> f64) -> f64 {
         if let Some(d) = self.slots[slot] {
-            self.hits += 1;
+            self.hits.set(self.hits.get() + 1);
             return d;
         }
-        self.misses += 1;
+        self.misses.set(self.misses.get() + 1);
         let d = compute();
         self.slots[slot] = Some(d);
         d
-    }
-}
-
-impl Drop for DemandRow<'_> {
-    fn drop(&mut self) {
-        self.cache_hits.set(self.cache_hits.get() + self.hits);
-        self.cache_misses.set(self.cache_misses.get() + self.misses);
     }
 }
 

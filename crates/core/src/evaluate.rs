@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use dynaplace_batch::hypothetical::{
-    evaluate_batch_placement, evaluate_batch_placement_with_columns, JobColumn, JobSnapshot,
+    evaluate_batch_placement, evaluate_batch_placement_with_columns, JobSnapshot,
 };
 use dynaplace_model::load::LoadDistribution;
 use dynaplace_model::placement::Placement;
@@ -121,9 +121,10 @@ fn score_placement_impl(
                             cycle,
                             &batch,
                             grid,
-                            |job, omega| {
-                                c.job_column(job.app(), omega.as_mhz().to_bits(), || {
-                                    Arc::new(JobColumn::after_cycle(now, cycle, job, omega, grid))
+                            |survivor| {
+                                let omega = survivor.omega().as_mhz().to_bits();
+                                c.job_column(survivor.app(), omega, || {
+                                    Arc::new(survivor.column(grid))
                                 })
                             },
                         )

@@ -324,14 +324,14 @@ pub(crate) fn distribute_with(
         let mut newly_fixed = Vec::new();
         let u_probe = (u_star + PROBE_DU).min(1.0);
         let mut row = demand_row(u_probe);
-        router.new_base();
+        let mut charge = None;
         for i in 0..apps.len() {
             if apps[i].fixed.is_some() {
                 continue;
             }
             let probe = apps[i].demand_at(u_probe, &router.routes.routes[i], row.as_mut());
             let saturated = probe <= base[i] + FEAS_EPS;
-            let blocked = saturated || !router.fits_raised(base, i, probe);
+            let blocked = saturated || !router.fits_raised(base, &mut charge, i, probe);
             if blocked {
                 newly_fixed.push((i, base[i]));
             }
@@ -508,10 +508,6 @@ struct Router {
     /// Single-host route indices on each host, in route order; built by
     /// the first node-local probe.
     by_host: Option<Vec<Vec<usize>>>,
-    /// The current probe base with every single-host route charged
-    /// (see [`BaseCharge`]). Built by the first probe of a base that
-    /// needs it; [`Router::new_base`] drops it.
-    base_charge: Option<BaseCharge>,
 }
 
 /// A routable demand vector `base` with its single-host routes charged,
@@ -523,10 +519,6 @@ struct BaseCharge {
     residual: Vec<f64>,
     /// The multi-node routes' `(route index, demand)`, in route order.
     multi: Vec<(usize, f64)>,
-    /// With exactly one multi-node route: its greedy's remaining need
-    /// before each cell it reads for `base`, up to the cell where it has
-    /// routed everything.
-    greedy_need: Vec<f64>,
 }
 
 impl BaseCharge {
@@ -539,25 +531,7 @@ impl BaseCharge {
                 None => multi.push((j, demand)),
             }
         }
-        // The greedy of `route_multi`, recording its state. Each host
-        // appears once in a route, so the residual it reads at a cell is
-        // the charged one.
-        let mut greedy_need = Vec::new();
-        if let [(i, demand)] = multi[..] {
-            let mut need = demand;
-            for &(host, cap) in routes.cells(i) {
-                greedy_need.push(need);
-                need -= need.min(cap).min(residual[host].max(0.0));
-                if need <= FEAS_EPS {
-                    break;
-                }
-            }
-        }
-        Self {
-            residual,
-            multi,
-            greedy_need,
-        }
+        Self { residual, multi }
     }
 }
 
@@ -569,7 +543,6 @@ impl Router {
             multi: Vec::new(),
             all_single,
             by_host: None,
-            base_charge: None,
             routes,
             hosts,
             capacities,
@@ -600,12 +573,6 @@ impl Router {
         route_multi(&self.routes, &self.multi, &mut self.residual)
     }
 
-    /// Announces that the next [`Router::fits_raised`] calls probe a new
-    /// base vector.
-    fn new_base(&mut self) {
-        self.base_charge = None;
-    }
-
     /// Whether `base` — a demand vector known to be routable — stays
     /// routable with entry `i` raised to `probe`.
     ///
@@ -616,10 +583,19 @@ impl Router {
     /// in application order, exactly as [`Router::routable`] performs
     /// them. If some application spans nodes, they are then routed once
     /// over `base`'s single-host residual with that node's value
-    /// replaced — the residual `routable` would reach. A probed
-    /// application that spans nodes sends the whole patched vector
-    /// through `routable`; `base` is restored before returning.
-    fn fits_raised(&mut self, base: &mut [f64], i: usize, probe: f64) -> bool {
+    /// replaced — the residual `routable` would reach. That residual is
+    /// `base`'s [`BaseCharge`], built into `charge` by the first probe
+    /// that needs it: every probe sharing `charge` must pass the same
+    /// `base`. A probed application that spans nodes sends the whole
+    /// patched vector through `routable`; `base` is restored before
+    /// returning.
+    fn fits_raised(
+        &mut self,
+        base: &mut [f64],
+        charge: &mut Option<BaseCharge>,
+        i: usize,
+        probe: f64,
+    ) -> bool {
         let Some(host) = self.routes.single_host(i) else {
             let kept = base[i];
             base[i] = probe;
@@ -651,29 +627,7 @@ impl Router {
         if self.all_single {
             return true;
         }
-        let capacities = &self.capacities;
-        let charge = self
-            .base_charge
-            .get_or_insert_with(|| BaseCharge::new(routes, capacities, base));
-        if let [(m, _)] = charge.multi[..] {
-            // One multi-node route: its greedy reads the same values as
-            // for `base` up to `host`'s cell. If it routed everything
-            // before reaching that cell, the verdict is `base`'s: true.
-            let cells = routes.cells(m);
-            let read = &cells[..charge.greedy_need.len()];
-            let Ok(q) = read.binary_search_by_key(&host, |&(h, _)| h) else {
-                return true;
-            };
-            let mut need = charge.greedy_need[q];
-            for (c, &(h, cap)) in cells.iter().enumerate().skip(q) {
-                let residual = if c == q { r } else { charge.residual[h] };
-                need -= need.min(cap).min(residual.max(0.0));
-                if need <= FEAS_EPS {
-                    return true;
-                }
-            }
-            return false;
-        }
+        let charge = charge.get_or_insert_with(|| BaseCharge::new(routes, &self.capacities, base));
         self.residual.copy_from_slice(&charge.residual);
         self.residual[host] = r;
         route_multi(&self.routes, &charge.multi, &mut self.residual)
@@ -1330,7 +1284,7 @@ mod tests {
         /// A raised probe gives the same verdict as routing the whole
         /// patched vector, and leaves `base` as it was — with every
         /// application on one node (the node-local replay), with one
-        /// application spanning nodes (the replayed greedy) and with two
+        /// application spanning nodes (the greedy) and with two
         /// or more (the max-flow). Probes land at random, exactly on the
         /// probed node's single-host slack, just inside, on and just
         /// outside the feasibility slack, and past the app's cap.
@@ -1384,7 +1338,7 @@ mod tests {
                 }
             }
             prop_assume!(router.routable(&base));
-            router.new_base();
+            let mut charge = None;
             let kept = base.clone();
             for (i, &(_, cap, _, kind, factor, ..)) in apps.iter().enumerate() {
                 let probe = match router.routes.single_host(i) {
@@ -1408,7 +1362,7 @@ mod tests {
                 let mut patched = base.clone();
                 patched[i] = probe;
                 let full = router.routable(&patched);
-                prop_assert_eq!(router.fits_raised(&mut base, i, probe), full, "app {}", i);
+                prop_assert_eq!(router.fits_raised(&mut base, &mut charge, i, probe), full, "app {}", i);
                 prop_assert_eq!(&base, &kept);
             }
         }
@@ -1423,11 +1377,11 @@ mod tests {
         let mut router = router(&[1_000.0, 1_000.0], &[single, spanning]);
         let mut base = vec![400.0, 1_000.0];
         assert!(router.routable(&base));
-        router.new_base();
+        let mut charge = None;
         // Node 0 alone still fits 550 MHz for the single-node app, but
         // the spanning app can then reach only 450 + 500 < 1,000 MHz.
-        assert!(!router.fits_raised(&mut base, 0, 550.0));
-        assert!(router.fits_raised(&mut base, 0, 500.0));
+        assert!(!router.fits_raised(&mut base, &mut charge, 0, 550.0));
+        assert!(router.fits_raised(&mut base, &mut charge, 0, 500.0));
         assert_eq!(base, vec![400.0, 1_000.0]);
     }
 }
